@@ -12,11 +12,10 @@ import (
 	"repro/internal/apps/metum"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/facility"
 	"repro/internal/mpi"
 	"repro/internal/npb"
 	"repro/internal/npb/suite"
-	"repro/internal/osu"
+	"repro/internal/perfbench"
 	"repro/internal/platform"
 	"repro/internal/sched"
 )
@@ -61,27 +60,6 @@ func BenchmarkFig3NPBSerial(b *testing.B) {
 		if _, err := experiments.Fig3NPBSerial(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFig4NPBScaling regenerates one representative Figure 4 panel
-// per kernel family (EP compute-bound, CG latency-bound, FT alltoall).
-func BenchmarkFig4NPBScaling(b *testing.B) {
-	for _, kernel := range []string{"ep", "cg", "ft"} {
-		kernel := kernel
-		b.Run(kernel, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				fig, err := experiments.Fig4NPBScaling(kernel)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					for _, s := range fig.Series {
-						b.ReportMetric(s.Y[len(s.Y)-1], "speedup64-"+s.Name)
-					}
-				}
-			}
-		})
 	}
 }
 
@@ -216,14 +194,18 @@ func BenchmarkFig7Breakdown(b *testing.B) {
 	}
 }
 
-// BenchmarkOSURawRuntime measures the simulator's own throughput on the
-// micro-benchmark (how fast the virtual cluster executes), a guard against
-// performance regressions in the runtime itself.
-func BenchmarkOSURawRuntime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := osu.Latency(platform.Vayu(), []int{8}); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkSuite runs every member of the committed perfbench suite —
+// the message-plane, world-churn, OSU, facility and Figure 4 panel
+// benchmarks whose budgets `make verify` gates — as one sub-benchmark
+// each, so `go test -bench` measures exactly what cmd/bench records.
+func BenchmarkSuite(b *testing.B) {
+	for _, bench := range perfbench.Suite() {
+		b.Run(bench.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bench.Op()
+			}
+		})
 	}
 }
 
@@ -263,53 +245,3 @@ func BenchmarkReproQuickSequential(b *testing.B) { benchmarkRepro(b, 1) }
 // BenchmarkReproQuickParallel regenerates the same set on 8 workers,
 // measuring the scheduler's wall-clock win on a multi-core host.
 func BenchmarkReproQuickParallel(b *testing.B) { benchmarkRepro(b, 8) }
-
-// benchmarkFacility streams a seeded multi-tenant workload through the
-// fully-featured batch facility (backfill, fairshare, static broker),
-// mirroring the perfbench facility/run-* allocation gates: per-iteration
-// cost is the incremental scheduler's event loop, reported per job.
-func benchmarkFacility(b *testing.B, jobs, tenants int) {
-	const slots = 512
-	wl, err := facility.Generate(facility.WorkloadSpec{
-		Seed: 1, Jobs: jobs, Tenants: tenants, Slots: slots,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := facility.Config{
-		Slots:     [facility.NumPools]int{slots, slots / 2, slots / 2},
-		Backfill:  true,
-		Fairshare: true,
-		Broker: &facility.Broker{
-			Factors: map[string][facility.NumPools]float64{
-				"ep": {1, 1.1, 1.3}, "cg": {1, 1.8, 2.6}, "mg": {1, 1.5, 2.1},
-				"ft": {1, 1.9, 2.8}, "is": {1, 1.4, 1.9},
-			},
-			DefaultFactors: [facility.NumPools]float64{1, 1.3, 2},
-		},
-		Prices: [facility.NumPools]float64{0, 0.34, 0.68},
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := facility.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		done := 0
-		if _, err := f.RunStream(wl, func(facility.Outcome) { done++ }); err != nil {
-			b.Fatal(err)
-		}
-		if done != jobs {
-			b.Fatalf("emitted %d of %d outcomes", done, jobs)
-		}
-	}
-	b.ReportMetric(float64(b.N*jobs)/b.Elapsed().Seconds(), "jobs/s")
-}
-
-// BenchmarkFacility10k is the facility event loop at 10k jobs / 1k
-// tenants; BenchmarkFacility100k is the same loop one order of
-// magnitude up, whose near-linear scaling is the point of the
-// incremental scheduling structures.
-func BenchmarkFacility10k(b *testing.B)  { benchmarkFacility(b, 10000, 1000) }
-func BenchmarkFacility100k(b *testing.B) { benchmarkFacility(b, 100000, 10000) }

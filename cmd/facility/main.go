@@ -43,22 +43,11 @@ func main() {
 	bid := flag.Float64("bid", 0.60, "spot bid in $/hour")
 	trace := flag.String("trace", "", "replay jobs from a trace file instead of generating")
 	swf := flag.String("swf", "", "replay jobs from a Standard Workload Format trace")
-	sched := flag.String("sched", "heap", "scheduler implementation: heap (incremental) or sort (oracle)")
 	stream := flag.Bool("stream", false, "stream outcomes into reservoir statistics (bounded memory)")
 	emit := flag.String("emit-trace", "", "write the workload as a replayable trace to this file and exit")
 	manifest := flag.String("manifest", "", "write a run-manifest JSON to this file")
 	flag.Parse()
 	start := time.Now()
-
-	var kind facility.SchedKind
-	switch *sched {
-	case "heap":
-		kind = facility.SchedHeap
-	case "sort":
-		kind = facility.SchedSort
-	default:
-		fatal(fmt.Errorf("unknown -sched %q (want heap or sort)", *sched))
-	}
 
 	var wl []facility.Job
 	var err error
@@ -110,7 +99,6 @@ func main() {
 		Slots:     [facility.NumPools]int{*slots, *slots / 2, *slots / 2},
 		Backfill:  true,
 		Fairshare: true,
-		Sched:     kind,
 		Prices:    [facility.NumPools]float64{0, 0.34, 0.68},
 		Meter:     meter,
 		Metrics:   reg,
@@ -186,7 +174,6 @@ func main() {
 			"slots":  strconv.Itoa(*slots),
 			"broker": strconv.FormatBool(cfg.Broker != nil),
 			"spot":   strconv.FormatBool(cfg.Spot != nil),
-			"sched":  cfg.Sched.String(),
 			"stream": strconv.FormatBool(*stream),
 			"digest": digest,
 		},

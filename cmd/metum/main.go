@@ -32,15 +32,10 @@ func main() {
 	manifest := flag.String("manifest", "", "write a run-manifest JSON to this file")
 	faults := flag.String("faults", "",
 		"fault injection, e.g. mtbf=600,ckpt=3 (keys: mtbf, straggle, slow, degrade, dlat, dbw, horizon, ckpt, seed)")
-	runtimeName := flag.String("runtime", "", "mpi runtime: goroutine (default) or pdes")
 	sink := trace.AddFlag()
 	flag.Parse()
 	start := time.Now()
 
-	rt, err := mpi.RuntimeByName(*runtimeName)
-	if err != nil {
-		fatal(err)
-	}
 	p, err := platform.ByName(*platName)
 	if err != nil {
 		fatal(err)
@@ -60,7 +55,7 @@ func main() {
 	reg := obs.NewRegistry()
 	spec := core.RunSpec{
 		Platform: p, NP: *np, Nodes: *nodes, MemPerRank: cfg.MemPerRank(*np),
-		Runtime: rt, ExtraTracer: sink.Tracer(*np), Metrics: reg,
+		ExtraTracer: sink.Tracer(*np), Metrics: reg,
 	}
 	var plan *fault.Plan
 	if fp.Enabled() {
@@ -113,10 +108,9 @@ func main() {
 		Schema: obs.ManifestSchema, Binary: "metum",
 		ModelVersion: core.ModelVersion, Platform: p.Name,
 		Knobs: map[string]string{
-			"np":      strconv.Itoa(*np),
-			"nodes":   strconv.Itoa(*nodes),
-			"steps":   strconv.Itoa(cfg.Steps),
-			"runtime": rt.String(),
+			"np":    strconv.Itoa(*np),
+			"nodes": strconv.Itoa(*nodes),
+			"steps": strconv.Itoa(cfg.Steps),
 		},
 		FaultSpec:      *faults,
 		VirtualSeconds: out.Result.Time,

@@ -36,12 +36,6 @@ type RunSpec struct {
 	MemPerRank int64
 	Seed       uint64        // jitter stream offset (repetition index)
 	Timeout    time.Duration // real-time guard; 0 = mpi default
-	// Runtime selects the mpi execution engine (mpi.Goroutine, the
-	// default, or mpi.PDES). Both produce byte-identical results; the
-	// PDES engine is the one that scales to 10k+ virtual ranks.
-	Runtime mpi.Runtime
-	// EngineWorkers bounds PDES engine concurrency (0 = GOMAXPROCS).
-	EngineWorkers int
 	// ExtraTracer, when set, observes events alongside the IPM profiler
 	// (e.g. a trace.Recorder exporting a Chrome timeline).
 	ExtraTracer mpi.Tracer
@@ -114,12 +108,6 @@ func Execute(spec RunSpec, fn func(c *mpi.Comm) error) (*Outcome, error) {
 		tracer = mpi.Tee(prof, spec.ExtraTracer)
 	}
 	opts := []mpi.Option{mpi.WithTracer(tracer), mpi.WithSeed(spec.Seed)}
-	if spec.Runtime != mpi.Goroutine {
-		opts = append(opts, mpi.WithRuntime(spec.Runtime))
-	}
-	if spec.EngineWorkers > 0 {
-		opts = append(opts, mpi.WithEngineWorkers(spec.EngineWorkers))
-	}
 	if spec.Timeout > 0 {
 		opts = append(opts, mpi.WithTimeout(spec.Timeout))
 	}

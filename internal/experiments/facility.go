@@ -89,8 +89,7 @@ func (x *Ctx) TableE14Facility() (*report.Table, error) {
 		return nil, err
 	}
 	broker, err := facility.CalibrateBroker(facility.CalibrateOpts{
-		Seed: x.Seed, Runtime: x.Runtime,
-		Meter: x.Meter, Metrics: x.Metrics,
+		Seed: x.Seed, Meter: x.Meter, Metrics: x.Metrics,
 	})
 	if err != nil {
 		return nil, err

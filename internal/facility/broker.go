@@ -138,13 +138,7 @@ type CalibrateOpts struct {
 	// NP is the profiling rank count (0 = 4).
 	NP int
 	// Seed offsets the reference runs' random streams.
-	Seed uint64
-	// Runtime selects the mpi engine for the reference runs — the
-	// facility's job-execution leg. The parity suite regenerates brokers
-	// under both engines and requires identical factors.
-	Runtime       mpi.Runtime
-	EngineWorkers int
-
+	Seed    uint64
 	Meter   *sim.Meter
 	Metrics *obs.Registry
 }
@@ -165,7 +159,7 @@ func CalibratedClasses() []string {
 
 // CalibrateBroker builds a Broker the ARRIVE-F way: run each reference
 // workload once on the simulated Vayu (a real core.Execute simulation —
-// this is the execution leg the runtime-parity tests pin), extract its
+// the facility's job-execution leg), extract its
 // IPM profile, and project per-pool slowdown factors from first
 // principles via arrive.WorkloadProfile.Slowdown.
 func CalibrateBroker(opts CalibrateOpts) (*Broker, error) {
@@ -210,7 +204,6 @@ func calibrationProfile(class string, opts CalibrateOpts) (*arrive.WorkloadProfi
 	vayu := platform.Vayu()
 	spec := core.RunSpec{
 		Platform: vayu, NP: np, Seed: opts.Seed,
-		Runtime: opts.Runtime, EngineWorkers: opts.EngineWorkers,
 		Meter: opts.Meter, Metrics: opts.Metrics,
 	}
 	var body func(c *mpi.Comm) error

@@ -7,18 +7,18 @@
 // plane with checkpoint/restart costs charged via iomodel.
 //
 // The simulation is entirely event-driven: arrivals, completions and
-// limit kills are events on the same strict-total-order virtual-time
-// heap the PDES rank engine uses (pdes.Queue), so a facility run is a
-// pure function of (workload, config) — bit-reproducible at any host
-// parallelism, under either mpi runtime, and byte-compared against the
-// small-N oracle arrive.SimulateQueue by the cross-validation tests.
+// limit kills are events on a strict-total-order virtual-time heap
+// (pdes.Queue), so a facility run is a pure function of (workload,
+// config) — bit-reproducible at any host parallelism, and byte-compared
+// against the small-N oracle arrive.SimulateQueue by the
+// cross-validation tests.
 //
-// Two scheduler implementations share the event loop. SchedHeap (the
-// default) keeps incremental structures — a lazily re-keyed pending
-// heap, a maintained release profile for EASY reservations, and O(1)
-// wait-estimate aggregates — so a million-job run stays near-linear.
-// SchedSort is the original sort-per-pass implementation, retained as
-// the oracle the parity suite compares against bit for bit.
+// The scheduler keeps incremental structures — a lazily re-keyed
+// pending heap, a maintained release profile for EASY reservations, and
+// O(1) wait-estimate aggregates — so a million-job run stays
+// near-linear. The original sort-per-pass implementation (schedSort)
+// stays in the package as the oracle its tests compare against bit for
+// bit; only those tests can select it.
 package facility
 
 import (
@@ -136,30 +136,21 @@ func (o Outcome) BoundedSlowdown(tau float64) float64 {
 	return s
 }
 
-// SchedKind selects the scheduler implementation.
-type SchedKind uint8
+// schedKind selects the scheduler implementation. Only package tests
+// select the sort-per-pass oracle; every caller outside the package runs
+// the default heap scheduler.
+type schedKind uint8
 
 const (
-	// SchedHeap is the incremental scheduler: a lazily re-keyed pending
+	// schedHeap is the incremental scheduler: a lazily re-keyed pending
 	// heap, a maintained release profile and O(1) wait estimates. The
 	// default, and the path the E15 million-job artefact runs on.
-	SchedHeap SchedKind = iota
-	// SchedSort is the original sort-per-pass scheduler, kept (without
-	// build tags) as the oracle the parity suite compares SchedHeap
-	// against bit for bit.
-	SchedSort
+	schedHeap schedKind = iota
+	// schedSort is the original sort-per-pass scheduler, kept as the
+	// oracle the scheduler-parity tests compare schedHeap against bit
+	// for bit.
+	schedSort
 )
-
-// String implements fmt.Stringer.
-func (k SchedKind) String() string {
-	switch k {
-	case SchedHeap:
-		return "heap"
-	case SchedSort:
-		return "sort"
-	}
-	return fmt.Sprintf("sched(%d)", int(k))
-}
 
 // Config parameterises one facility.
 type Config struct {
@@ -203,8 +194,8 @@ type Config struct {
 	// Tau is the bounded-slowdown threshold in seconds (0 = 10).
 	Tau float64
 
-	// Sched selects the scheduler implementation (default SchedHeap).
-	Sched SchedKind
+	// sched selects the scheduler implementation (default schedHeap).
+	sched schedKind
 
 	// Metrics, when set, receives facility counters (submissions, starts,
 	// kills, backfills, interruptions) in the obs registry.
@@ -228,9 +219,6 @@ func (c *Config) Validate() error {
 	}
 	if c.BackfillDepth < 0 || c.FairshareHalfLife < 0 || c.Tau < 0 {
 		return fmt.Errorf("facility: negative knob in %+v", c)
-	}
-	if c.Sched > SchedSort {
-		return fmt.Errorf("facility: unknown scheduler kind %d", c.Sched)
 	}
 	tenants := make([]string, 0, len(c.TenantWeights))
 	for t := range c.TenantWeights {
@@ -547,7 +535,7 @@ func (f *Facility) pushLater(at float64, kind int, rec *jobRec) {
 func (f *Facility) enqueue(p *poolState, rec *jobRec) {
 	rec.qwork = float64(rec.job.NP) * f.planDur(rec) * f.factor(rec.job.Class, p.id)
 	p.qWork += rec.qwork
-	if f.cfg.Sched == SchedSort {
+	if f.cfg.sched == schedSort {
 		p.queue = append(p.queue, rec)
 		return
 	}
@@ -561,7 +549,7 @@ func (f *Facility) enqueue(p *poolState, rec *jobRec) {
 
 // pendingLen is the pool's pending-job count on the active path.
 func (f *Facility) pendingLen(p *poolState) int {
-	if f.cfg.Sched == SchedSort {
+	if f.cfg.sched == schedSort {
 		return len(p.queue)
 	}
 	return p.pend.len()
@@ -575,7 +563,7 @@ func (f *Facility) complete(rec *jobRec) {
 	p.free += rec.job.NP
 	p.npRun -= rec.job.NP
 	p.npEnd -= float64(rec.job.NP) * rec.end
-	if f.cfg.Sched == SchedSort {
+	if f.cfg.sched == schedSort {
 		for i, r := range p.running {
 			if r == rec {
 				p.running = append(p.running[:i], p.running[i+1:]...)
@@ -612,8 +600,8 @@ func (f *Facility) start(p *poolState, rec *jobRec) {
 	rec.start = f.clock
 	p.free -= rec.job.NP
 	p.qWork -= rec.qwork
-	if f.cfg.Sched == SchedSort {
-		//lint:allow reprolint/allochot legacy SchedSort bookkeeping; the heap scheduler never takes this branch
+	if f.cfg.sched == schedSort {
+		//lint:allow reprolint/allochot legacy schedSort bookkeeping; the heap scheduler never takes this branch
 		p.running = append(p.running, rec)
 	}
 	f.met.started.Inc()
@@ -647,7 +635,7 @@ func (f *Facility) start(p *poolState, rec *jobRec) {
 	}
 	p.npRun += rec.job.NP
 	p.npEnd += float64(rec.job.NP) * rec.end
-	if f.cfg.Sched != SchedSort && p.id == PoolHPC {
+	if f.cfg.sched != schedSort && p.id == PoolHPC {
 		p.profile.insert(f.releaseAt(rec), rec.job.NP, rec.seq)
 	}
 	f.pushLater(rec.end, kindComplete, rec)
@@ -703,7 +691,7 @@ func (f *Facility) schedule(p *poolState) {
 		}
 		return
 	}
-	if f.cfg.Sched == SchedSort {
+	if f.cfg.sched == schedSort {
 		f.scheduleSort(p)
 		return
 	}

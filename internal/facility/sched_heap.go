@@ -2,7 +2,7 @@ package facility
 
 import "sort"
 
-// The incremental scheduler (SchedHeap, the default): the structures
+// The incremental scheduler (schedHeap, the default): the structures
 // that make a 10^6-job run near-linear.
 //
 //   - Pending jobs live in a binary min-heap ordered by (priority key,

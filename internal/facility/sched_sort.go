@@ -2,13 +2,13 @@ package facility
 
 import "sort"
 
-// The sort-per-pass scheduler (SchedSort): every pass re-sorts the
+// The sort-per-pass scheduler (schedSort): every pass re-sorts the
 // pending queue by fairshare priority and every reservation allocates
 // and sorts the running set. O(queue log queue) per pass — fine at
 // 10^4 jobs, the ceiling the incremental scheduler removes — and kept
-// verbatim as the oracle: the parity suite requires SchedHeap to
-// reproduce this path's start orders, digests and artefact bytes bit
-// for bit across every knob combination.
+// verbatim as the oracle: the package's scheduler-parity tests require
+// schedHeap to reproduce this path's start orders and digests bit for
+// bit across every knob combination.
 
 // sortQueue orders p's queue for one scheduling pass. Without fairshare
 // the queue is already in (submit, seq) order — arrivals are events on

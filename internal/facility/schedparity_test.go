@@ -7,8 +7,8 @@ import (
 	"testing/quick"
 )
 
-// The scheduler-parity battery: SchedHeap (incremental structures) must
-// reproduce SchedSort (the retained sort-per-pass oracle) bit for bit —
+// The scheduler-parity battery: schedHeap (incremental structures) must
+// reproduce schedSort (the retained sort-per-pass oracle) bit for bit —
 // same outcomes, same digests, same completion order, same event count
 // — across every knob combination. The log-domain priority keys, the
 // lazy re-keying and the maintained release profile are all exact
@@ -17,9 +17,9 @@ import (
 
 // runSched runs jobs under the given scheduler kind, returning the full
 // result and the emission (completion) order.
-func runSched(t *testing.T, cfg Config, kind SchedKind, jobs []Job) (*Result, []int) {
+func runSched(t *testing.T, cfg Config, kind schedKind, jobs []Job) (*Result, []int) {
 	t.Helper()
-	cfg.Sched = kind
+	cfg.sched = kind
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -70,8 +70,8 @@ func TestSchedParityAllKnobs(t *testing.T) {
 	jobs := genJobs(t, 7, 400, 30, 32)
 	for knobs := uint8(0); knobs < 16; knobs++ {
 		cfg := parityConfig(knobs)
-		heapRes, heapOrder := runSched(t, cfg, SchedHeap, jobs)
-		sortRes, sortOrder := runSched(t, cfg, SchedSort, jobs)
+		heapRes, heapOrder := runSched(t, cfg, schedHeap, jobs)
+		sortRes, sortOrder := runSched(t, cfg, schedSort, jobs)
 		if !reflect.DeepEqual(heapRes.Outcomes, sortRes.Outcomes) {
 			for i := range heapRes.Outcomes {
 				if heapRes.Outcomes[i] != sortRes.Outcomes[i] {
@@ -101,8 +101,8 @@ func TestQuickSchedulerParity(t *testing.T) {
 	prop := func(seed uint64, knobs uint8, jn uint8) bool {
 		jobs := genJobs(t, seed, 30+int(jn)%120, 1+int(jn)%16, 32)
 		cfg := parityConfig(knobs % 16)
-		heapRes, _ := runSched(t, cfg, SchedHeap, jobs)
-		sortRes, _ := runSched(t, cfg, SchedSort, jobs)
+		heapRes, _ := runSched(t, cfg, schedHeap, jobs)
+		sortRes, _ := runSched(t, cfg, schedSort, jobs)
 		if Digest(heapRes) != Digest(sortRes) {
 			for i := range heapRes.Outcomes {
 				if heapRes.Outcomes[i] != sortRes.Outcomes[i] {
@@ -133,7 +133,7 @@ func TestRunMatchesRunStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, _ := runSched(t, cfg, SchedHeap, jobs)
+	streamed, _ := runSched(t, cfg, schedHeap, jobs)
 	if !reflect.DeepEqual(res, streamed) {
 		t.Fatal("Run and RunStream disagreed")
 	}
@@ -147,7 +147,7 @@ func TestRunMatchesRunStream(t *testing.T) {
 func TestStreamSummaryMatchesSummarize(t *testing.T) {
 	jobs := genJobs(t, 13, 500, 25, 32)
 	cfg := parityConfig(15)
-	res, _ := runSched(t, cfg, SchedHeap, jobs)
+	res, _ := runSched(t, cfg, schedHeap, jobs)
 	exact := Summarize(res.Outcomes, 0)
 
 	ss := NewStreamSummary(0, 99)
@@ -158,7 +158,7 @@ func TestStreamSummaryMatchesSummarize(t *testing.T) {
 		t.Fatalf("submission-order stream diverged:\n got %+v\nwant %+v", got, exact)
 	}
 
-	cfg.Sched = SchedHeap
+	cfg.sched = schedHeap
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -208,5 +208,45 @@ func TestStreamDigestDeterministic(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("stream digest not reproducible")
+	}
+}
+
+// TestSchedParityCalibratedBroker runs both scheduler paths over a
+// broker calibrated from real core.Execute reference runs, so the
+// factors carry full simulated precision rather than the hand-written
+// ones of staticTestBroker. Calibration itself must repeat bit for bit:
+// every facility decision downstream of it depends on the factors.
+func TestSchedParityCalibratedBroker(t *testing.T) {
+	jobs, err := Generate(WorkloadSpec{Seed: 7, Jobs: 120, Tenants: 15, Slots: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker, err := CalibrateBroker(CalibrateOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := CalibrateBroker(CalibrateOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, class := range CalibratedClasses() {
+		a, b := broker.Factors[class], again.Factors[class]
+		for p := range a {
+			if math.Float64bits(a[p]) != math.Float64bits(b[p]) {
+				t.Fatalf("class %s factor on %s: %v, then %v", class, Pool(p), a[p], b[p])
+			}
+		}
+	}
+	cfg := Config{
+		Slots:     [NumPools]int{64, 32, 32},
+		Backfill:  true,
+		Fairshare: true,
+		Broker:    broker,
+		Prices:    [NumPools]float64{0, 0.34, 0.68},
+	}
+	heapRes, _ := runSched(t, cfg, schedHeap, jobs)
+	sortRes, _ := runSched(t, cfg, schedSort, jobs)
+	if Digest(heapRes) != Digest(sortRes) {
+		t.Fatal("heap scheduler digest diverged from the sort oracle's on a calibrated broker")
 	}
 }

@@ -69,7 +69,8 @@ func initComm(c *Comm, st *rankState, w *World, rank int, group []int) {
 }
 
 // killPanic aborts the current rank at its scheduled preemption time;
-// abortPanic unwinds a surviving rank once a failed world is quiescent.
+// abortPanic unwinds a surviving rank once the world is quiescent (after
+// a failure, or at a deadlock).
 // Both are recovered by World.Run.
 type (
 	killPanic  struct{}
@@ -318,7 +319,7 @@ func (c *Comm) recvRaw(src, tag int) *message {
 		c.checkRank(src, "source")
 		wsrc = c.group[src]
 	}
-	m := c.st.world.inboxes[c.st.wrank].match(c.st.world, c.ctx, wsrc, tag, c.st.clock)
+	m := c.st.world.inboxes[c.st.wrank].match(c.st.world, c.ctx, wsrc, tag)
 	link := c.st.world.link(m.src, c.st.wrank)
 	st := c.st
 	met := &st.world.met

@@ -82,23 +82,19 @@ func (q *bucket) pop() *message {
 type inbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	rank    int // world rank of the consumer (the PDES engine's proc id)
 	buckets map[bucketKey]*bucket
 	slab    []bucket // arena for bucket structs, amortises short-lived worlds
 	npend   int      // queued, unmatched messages across all buckets
 	seq     uint64   // next arrival stamp
-	aborted bool     // set by World.abortAll once a failed world is quiescent
+	aborted bool     // set by World.abortAll once the world is quiescent
 
 	// The blocked waiter's predicate, valid while waiting is true. A put
 	// whose message satisfies it signals the consumer; one that cannot
-	// match leaves it asleep. scored additionally records that the waiter
-	// was counted as blocked on the fault plane's quiescence scoreboard
-	// (fault-free worlds skip that world-global bookkeeping); clearing it
-	// credits the waiter back to "running" atomically with delivery, so
-	// the world can never look quiescent while a satisfiable receive is
-	// pending.
+	// match leaves it asleep. A waiting consumer is counted as blocked on
+	// the world's quiescence scoreboard; clearing waiting credits it back
+	// to "running" under the same lock as the delivery, so the world can
+	// never look quiescent while a satisfiable receive is pending.
 	waiting    bool
-	scored     bool
 	wctx       uint64
 	wsrc, wtag int
 }
@@ -116,13 +112,11 @@ func newInbox() *inbox {
 // allocation.
 var inboxPool = sync.Pool{New: func() any { return newInbox() }}
 
-// leaseInboxes returns np pooled inboxes wired to their rank indices.
+// leaseInboxes returns np pooled inboxes.
 func leaseInboxes(np int) []*inbox {
 	boxes := make([]*inbox, np)
 	for i := range boxes {
-		b := inboxPool.Get().(*inbox)
-		b.rank = i
-		boxes[i] = b
+		boxes[i] = inboxPool.Get().(*inbox)
 	}
 	return boxes
 }
@@ -148,7 +142,6 @@ func (b *inbox) reset() bool {
 		return false
 	}
 	b.seq = 0
-	b.scored = false
 	b.wctx, b.wsrc, b.wtag = 0, 0, 0
 	return true
 }
@@ -183,19 +176,13 @@ func (b *inbox) put(w *World, m *message) {
 	b.npend++
 	w.met.inboxDepth.Observe(int64(b.npend))
 	if b.waiting && matches(m, b.wctx, b.wsrc, b.wtag) {
-		b.waiting = false
-		if b.scored {
-			b.scored = false
-			w.exitBlocked()
-		}
-		if eng := w.engine(); eng != nil {
-			// The consumer is (or is about to be) parked in the engine;
-			// schedule its resumption at the message's arrival time. Lock
-			// order: inbox.mu, then the engine's mutex.
-			eng.Wake(b.rank, m.arrive)
-		} else {
-			b.cond.Signal()
-		}
+		// Credit the receiver as running before this put returns: the
+		// sender is running until then, so the running count never
+		// touches zero while this message is deliverable. Crediting after
+		// the sender could block would let the scoreboard see a
+		// quiescent world here and abort a live receive.
+		b.unblock(w)
+		b.cond.Signal()
 	}
 	b.mu.Unlock()
 }
@@ -239,62 +226,47 @@ func (b *inbox) take(ctx uint64, src, tag int) *message {
 // match blocks until a message matching (ctx, src, tag) is available,
 // removes it from its bucket and returns it. src/tag may be
 // AnySource/AnyTag; the communicator context always matches exactly.
-// now is the receiver's virtual clock at the blocking point; the PDES
-// engine parks the rank at that time (the goroutine runtime ignores it).
 //
 // After a rank failure, a receive that can still be satisfied proceeds
 // normally; match panics with abortPanic only once the world is
 // quiescent (every surviving rank blocked on a receive no delivered or
-// future message can satisfy, so none will ever complete). This
+// future message can satisfy, so none will ever complete; a quiescent
+// world without a failure is a deadlock and aborts the same way). This
 // "maximal progress" rule keeps post-failure state — in particular which
 // checkpoints committed — deterministic: a rank is never aborted while
 // any peer that could still send to it is runnable, so the set of
 // completed operations is the unique maximal one (the message-passing
 // program is a Kahn process network).
-func (b *inbox) match(w *World, ctx uint64, src, tag int, now float64) *message {
-	eng := w.engine()
+func (b *inbox) match(w *World, ctx uint64, src, tag int) *message {
 	b.mu.Lock()
 	for {
 		if m := b.take(ctx, src, tag); m != nil {
-			b.waiting = false
-			if b.scored {
-				// Defensive: a found match implies put already credited
-				// this waiter, but keep the counts paired.
-				b.scored = false
-				w.exitBlocked()
-			}
+			// Defensive: a found match implies put already credited
+			// this waiter, but keep the counts paired.
+			b.unblock(w)
 			b.mu.Unlock()
 			return m
 		}
 		if b.aborted {
-			b.waiting = false
-			if b.scored {
-				b.scored = false
-				w.exitBlocked()
-			}
+			b.unblock(w)
 			b.mu.Unlock()
 			panic(abortPanic{})
 		}
-		b.waiting = true
-		b.wctx, b.wsrc, b.wtag = ctx, src, tag
-		// Without a fault plan no rank can die, so the world can never
-		// need the quiescence test — skip the scoreboard bookkeeping
-		// (a world-global mutex) on the fault-free fast path.
-		if w.faults != nil && !b.scored {
-			b.scored = true
+		if !b.waiting {
+			b.waiting = true
+			b.wctx, b.wsrc, b.wtag = ctx, src, tag
 			w.enterBlocked()
 		}
-		if eng != nil {
-			// Park in the engine with the inbox unlocked: the waking
-			// put must be able to take b.mu. A wake that lands between
-			// the unlock and the Park is absorbed by the engine's
-			// pending-wake flag, so the rank never sleeps through it.
-			b.mu.Unlock()
-			eng.Park(b.rank, now)
-			b.mu.Lock()
-			continue
-		}
 		b.cond.Wait()
+	}
+}
+
+// unblock ends a wait, crediting the consumer back to running on the
+// world's scoreboard. Caller holds b.mu.
+func (b *inbox) unblock(w *World) {
+	if b.waiting {
+		b.waiting = false
+		w.exitBlocked()
 	}
 }
 

@@ -560,12 +560,16 @@ func TestMisusePanicsBecomeErrors(t *testing.T) {
 	}
 }
 
+// TestDeadlockTimesOut checks that a deadlocked world fails with the
+// scoreboard's diagnosis the moment it quiesces. The watchdog is set
+// beyond the test binary's default timeout, so a broken detector hangs
+// the test instead of passing it through the watchdog.
 func TestDeadlockTimesOut(t *testing.T) {
 	pl, err := cluster.Place(platform.Vayu(), cluster.Spec{NP: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWorld(platform.Vayu(), pl, WithTimeout(200*time.Millisecond))
+	w, err := NewWorld(platform.Vayu(), pl, WithTimeout(10*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,8 +579,9 @@ func TestDeadlockTimesOut(t *testing.T) {
 		}
 		return nil
 	})
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("expected deadlock timeout, got %v", err)
+	want := "mpi: deadlock: 1 rank(s) blocked with no runnable peer: rank 0 waiting on (src=1, tag=0)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %q", err, want)
 	}
 }
 

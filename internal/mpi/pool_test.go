@@ -276,7 +276,7 @@ func TestPendingCounterConcurrent(t *testing.T) {
 		for round := 0; round < perTag; round++ {
 			for pr := 0; pr < producers; pr++ {
 				for tag := 0; tag < 2; tag++ {
-					b.match(w, 1, pr, tag, 0).release()
+					b.match(w, 1, pr, tag).release()
 					if n++; n%37 == 0 {
 						check()
 					}
@@ -284,7 +284,7 @@ func TestPendingCounterConcurrent(t *testing.T) {
 			}
 		}
 		for i := 0; i < producers*perTag; i++ {
-			m := b.match(w, 1, AnySource, AnyTag, 0)
+			m := b.match(w, 1, AnySource, AnyTag)
 			if m.tag != 2 {
 				t.Errorf("wildcard drain got tag %d, want 2", m.tag)
 			}
@@ -320,7 +320,7 @@ func TestPendingCounterFIFO(t *testing.T) {
 	}
 	// Exact match on src 0 must yield arrival order 0, 2, 4.
 	for _, want := range []int{0, 2, 4} {
-		m := b.match(w, 1, 0, 5, 0)
+		m := b.match(w, 1, 0, 5)
 		if m.bytes != want {
 			t.Fatalf("exact match got bytes %d, want %d", m.bytes, want)
 		}
@@ -328,7 +328,7 @@ func TestPendingCounterFIFO(t *testing.T) {
 	}
 	// Wildcard drains the rest in physical arrival order: 1, 3, 5.
 	for _, want := range []int{1, 3, 5} {
-		m := b.match(w, 1, AnySource, AnyTag, 0)
+		m := b.match(w, 1, AnySource, AnyTag)
 		if m.bytes != want {
 			t.Fatalf("wildcard match got bytes %d, want %d", m.bytes, want)
 		}

@@ -178,8 +178,6 @@ func (w *World) RunResilient(cfg ResilientConfig, fn func(c *Comm) error) (*Resu
 			tracer:      w.tracer,
 			seed:        w.seed,
 			timeout:     w.timeout,
-			runtime:     w.runtime,
-			engWorkers:  w.engWorkers,
 			met:         w.met,
 			resil:       rs,
 			incStart:    start,

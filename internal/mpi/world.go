@@ -19,6 +19,7 @@ package mpi
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,11 +73,6 @@ type World struct {
 	seed    uint64
 	timeout time.Duration
 
-	runtime    Runtime      // execution engine (Goroutine or PDES)
-	engWorkers int          // PDES concurrency bound; <= 0 = GOMAXPROCS
-	eng        atomic.Value // *pdes.Engine for the Run in flight (PDES only)
-	dl         deadlock     // engine-detected deadlock diagnosis
-
 	met worldMetrics // observability handles; zero value = metering off
 
 	faults      *fault.Plan // nil = no fault injection
@@ -84,57 +80,89 @@ type World struct {
 	resumeStep  int         // application step to resume from (0 = fresh start)
 	incarnation int         // restart count of this incarnation
 	resil       *resilState // checkpoint store shared across incarnations
-	sb          scoreboard  // rank liveness, for deterministic post-failure abort
+	sb          scoreboard  // rank liveness: quiescence, failure and deadlock
 }
 
-// scoreboard tracks how many ranks can still make progress. After a rank
-// failure the world is aborted only once every surviving rank is blocked
-// in a receive (quiescent): at that point no message can ever arrive, so
-// the set of operations each rank completed is the unique maximal one —
-// which is what makes checkpoint state deterministic despite the
-// real-time races between goroutines.
+// scoreboard tracks how many ranks can still make progress. A world is
+// quiescent once every live rank is blocked in a receive: no rank is
+// running, so no message can ever arrive again. After a rank failure
+// that is the abort point — the set of operations each survivor
+// completed is then the unique maximal one, which is what makes
+// checkpoint state deterministic despite the real-time races between
+// goroutines. Without a failure it is a deadlock in the rank program,
+// diagnosed the moment it happens.
+//
+// ranks packs both counts into one word so a single atomic add updates
+// them together: the low 32 bits count running ranks (live and not
+// blocked), the high 32 bits live ranks (not yet returned). Blocking and
+// waking touch only the atomic. The rank that brings the running count
+// to zero closes quiet; Run, which holds no inbox lock, then diagnoses
+// and aborts the world.
 type scoreboard struct {
-	mu       sync.Mutex
-	running  int
+	ranks    atomic.Int64
+	quiesced atomic.Bool   // quiet was closed in this Run
+	quiet    chan struct{} // closed at the first quiescence of a Run
+
+	mu       sync.Mutex // guards the failure record
 	failed   bool
 	failRank int
 	failNode int
 	failAt   float64
 }
 
+// liveRank is one live rank in scoreboard.ranks; running ranks are
+// counted in units of 1 below it.
+const liveRank = 1 << 32
+
+// quiescent reports whether a scoreboard.ranks value has live ranks but
+// none running.
+func quiescent(ranks int64) bool { return ranks >= liveRank && ranks&(liveRank-1) == 0 }
+
 // enterBlocked marks a rank as blocked in a receive; called with the
-// rank's inbox lock held (lock order: inbox.mu, then scoreboard.mu).
+// rank's inbox lock held.
 func (w *World) enterBlocked() {
-	w.sb.mu.Lock()
-	w.sb.running--
-	quiesce := w.sb.failed && w.sb.running == 0
-	w.sb.mu.Unlock()
-	if quiesce {
-		// abortAll takes inbox locks, which may include the one held by
-		// this caller; run it from a clean goroutine.
-		//lint:allow reprolint/allochot failure quiesce only; a healthy hot path never reaches it
-		go w.abortAll()
+	if quiescent(w.sb.ranks.Add(-1)) {
+		w.quiesce()
 	}
 }
 
 // exitBlocked marks a rank runnable again after its receive matched (or
 // before it unwinds from an abort).
-func (w *World) exitBlocked() {
-	w.sb.mu.Lock()
-	w.sb.running++
-	w.sb.mu.Unlock()
-}
+func (w *World) exitBlocked() { w.sb.ranks.Add(1) }
 
 // rankStopped records that a rank's goroutine finished (normally, by
 // dying, or by unwinding from an abort).
 func (w *World) rankStopped() {
-	w.sb.mu.Lock()
-	w.sb.running--
-	quiesce := w.sb.failed && w.sb.running == 0
-	w.sb.mu.Unlock()
-	if quiesce {
-		go w.abortAll()
+	if quiescent(w.sb.ranks.Add(-liveRank - 1)) {
+		w.quiesce()
 	}
+}
+
+// quiesce signals Run at the first quiescence of the Run.
+func (w *World) quiesce() {
+	if w.sb.quiesced.CompareAndSwap(false, true) {
+		close(w.sb.quiet)
+	}
+}
+
+// diagnoseDeadlock names the blocked ranks of a quiescent world with
+// each one's pending receive, e.g. "rank 0 waiting on (src=3, tag=99)"
+// (-1 is AnySource/AnyTag). Past five, the first four are listed and the
+// rest counted.
+func (w *World) diagnoseDeadlock() error {
+	var blocked []string
+	for r, b := range w.inboxes {
+		b.mu.Lock()
+		if b.waiting {
+			blocked = append(blocked, fmt.Sprintf("rank %d waiting on (src=%d, tag=%d)", r, b.wsrc, b.wtag))
+		}
+		b.mu.Unlock()
+	}
+	n := len(blocked)
+	if n > 5 {
+		blocked = append(blocked[:4], fmt.Sprintf("... (%d more)", n-4))
+	}
+	return fmt.Errorf("mpi: deadlock: %d rank(s) blocked with no runnable peer: %s", n, strings.Join(blocked, " "))
 }
 
 // markFailed records a rank death. When several ranks die in one
@@ -162,11 +190,6 @@ func (w *World) abortAll() {
 		b.aborted = true
 		b.mu.Unlock()
 		b.cond.Broadcast()
-	}
-	if eng := w.engine(); eng != nil {
-		// Parked PDES ranks sleep in the engine, not on the inbox conds;
-		// requeue all of them so each re-checks its inbox and unwinds.
-		eng.WakeAll()
 	}
 }
 
@@ -263,18 +286,11 @@ func (w *World) Run(fn func(c *Comm) error) (*Result, error) {
 	for r := 0; r < w.np; r++ {
 		initComm(&comms[r], &states[r], w, r, group)
 	}
-	w.dl.mu.Lock()
-	w.dl.err = nil
-	w.dl.mu.Unlock()
-	if w.runtime == PDES {
-		w.startEngine()
-	}
-	eng := w.engine()
+	w.sb.quiet = make(chan struct{})
+	w.sb.quiesced.Store(false)
+	w.sb.ranks.Store(int64(w.np) * (liveRank + 1))
 
 	errs := make([]error, w.np)
-	w.sb.mu.Lock()
-	w.sb.running = w.np
-	w.sb.mu.Unlock()
 	var wg sync.WaitGroup
 	wg.Add(w.np)
 	for r := 0; r < w.np; r++ {
@@ -283,9 +299,6 @@ func (w *World) Run(fn func(c *Comm) error) (*Result, error) {
 			defer func() {
 				p := recover()
 				w.rankStopped()
-				if eng != nil {
-					eng.Done(rank)
-				}
 				switch p.(type) {
 				case nil:
 				case killPanic:
@@ -298,23 +311,36 @@ func (w *World) Run(fn func(c *Comm) error) (*Result, error) {
 					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
 				}
 			}()
-			if eng != nil {
-				eng.Enter(rank)
-			}
 			errs[rank] = fn(&comms[rank])
 		}(r)
-	}
-	if eng != nil {
-		eng.Go()
 	}
 
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	//lint:allow reprolint/detwall real-time watchdog: fires only on deadlock, never contributes to virtual time
-	case <-time.After(w.timeout):
-		return nil, fmt.Errorf("mpi: run exceeded real-time limit %v (likely deadlock)", w.timeout)
+	//lint:allow reprolint/detwall real-time watchdog: backstop for ranks that spin without blocking, never contributes to virtual time
+	watchdog := time.After(w.timeout)
+	quiet := w.sb.quiet
+	var deadlock error
+wait:
+	for {
+		select {
+		case <-done:
+			break wait
+		case <-quiet:
+			// Every live rank is blocked and none can be woken. Unless
+			// a rank failure explains it, that is a deadlock: name the
+			// blocked receives before the abort unwinds them.
+			quiet = nil
+			w.sb.mu.Lock()
+			failed := w.sb.failed
+			w.sb.mu.Unlock()
+			if !failed {
+				deadlock = w.diagnoseDeadlock()
+			}
+			w.abortAll()
+		case <-watchdog:
+			return nil, fmt.Errorf("mpi: run exceeded real-time limit %v (a rank never blocked or returned)", w.timeout)
+		}
 	}
 
 	w.sb.mu.Lock()
@@ -323,13 +349,16 @@ func (w *World) Run(fn func(c *Comm) error) (*Result, error) {
 	if failed {
 		return nil, &RankFailedError{Rank: failRank, Node: failNode, At: failAt}
 	}
-	if dlerr := w.deadlockErr(); dlerr != nil {
-		return nil, dlerr
-	}
+	// A rank's own error outranks the deadlock it may have caused by
+	// leaving its peers waiting; ranks unwound by the abort carry
+	// errPeerFailed and report through the diagnosis instead.
 	for r, err := range errs {
-		if err != nil {
+		if err != nil && err != errPeerFailed {
 			return nil, fmt.Errorf("mpi: rank %d: %w", r, err)
 		}
+	}
+	if deadlock != nil {
+		return nil, deadlock
 	}
 
 	res := &Result{

@@ -240,8 +240,7 @@ func Suite() []Bench {
 			},
 		},
 		{
-			// The simulator's own speed on the OSU latency microbenchmark,
-			// mirroring bench_test.go's BenchmarkOSURawRuntime.
+			// The simulator's own speed on the OSU latency microbenchmark.
 			Name:        "osu/latency-sim",
 			AllocBudget: budgetOSU,
 			Op: func() {
@@ -270,9 +269,10 @@ func Suite() []Bench {
 			NsBudget:    nsBudgetFac100k,
 			Op:          facRun(&fac100k),
 		},
-		// Figure regenerations, mirroring bench_test.go's
-		// BenchmarkFig4NPBScaling panels: end-to-end wall-clock cost of the
-		// artefacts whose sweeps dominate `make results`.
+		// Figure regenerations, one representative Figure 4 panel per
+		// kernel family (EP compute-bound, CG latency-bound, FT
+		// alltoall): end-to-end wall-clock cost of the artefacts whose
+		// sweeps dominate `make results`.
 		{Name: "fig4/ep", Op: fig4("ep")},
 		{Name: "fig4/cg", Op: fig4("cg")},
 		{Name: "fig4/ft", Op: fig4("ft")},

@@ -189,7 +189,7 @@ func EC2() *Platform {
 
 // Scaled returns a copy of p with enough nodes to host at least np
 // ranks, for what-if scaling studies beyond the paper's machines (the
-// PDES engine's 10k+ rank worlds need more slots than even Vayu's 1492
+// E13 10k+ rank worlds need more slots than even Vayu's 1492
 // blades offer). Every per-node characteristic — CPU, memory, links,
 // filesystem, jitter, seed — is left untouched, so results at np within
 // the stock node count are identical to the unscaled platform; the name

@@ -4,13 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
+	"runtime"
 	"testing"
 
 	"repro/internal/apps/metum"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/facility"
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/npb"
@@ -20,23 +19,28 @@ import (
 	"repro/internal/sim"
 )
 
-// Oracle parity suite: the goroutine runtime is the correctness oracle
-// for the PDES engine. Every workload family runs under three engine
-// configurations — goroutine, PDES at the default worker count, and PDES
-// serialised to one worker — and must produce bit-identical virtual
-// results: rank clocks, IPM accounting, benchmark points, artefact
-// bytes. Any divergence means the event engine changed what the
-// simulation computes, not just how fast it computes it.
+// Schedule-parity suite. The rank runtime runs one goroutine per rank,
+// so the Go scheduler decides how rank executions interleave in real
+// time. No result may depend on that: every workload receives on
+// explicit (source, tag) channels, which makes each run a Kahn process
+// network whose outcome is a function of the program alone. Every
+// workload family therefore runs with ranks strictly time-sliced on one
+// OS thread (GOMAXPROCS=1) and truly concurrent on four, and must
+// produce bit-identical virtual results: rank clocks, IPM accounting,
+// benchmark points, fault outcomes, artefact bytes.
 
-// engines lists the configurations every parity test sweeps.
-var engines = []struct {
-	name    string
-	rt      mpi.Runtime
-	workers int
-}{
-	{"goroutine", mpi.Goroutine, 0},
-	{"pdes", mpi.PDES, 0},
-	{"pdes-w1", mpi.PDES, 1},
+// schedules lists the GOMAXPROCS settings every parity test sweeps.
+var schedules = []int{1, 4}
+
+// eachSchedule runs fn once per entry of schedules with GOMAXPROCS set
+// accordingly, restoring the previous setting afterwards. label names
+// the schedule in failure messages.
+func eachSchedule(fn func(label string)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range schedules {
+		runtime.GOMAXPROCS(procs)
+		fn(fmt.Sprintf("GOMAXPROCS=%d", procs))
+	}
 }
 
 // sameSeries fails the test unless a and b are bit-identical.
@@ -66,7 +70,7 @@ func sameOutcome(t *testing.T, label string, ref, got *core.Outcome) {
 	sameSeries(t, label+": ipm wait", ref.Profile.Wait, got.Profile.Wait)
 	sameSeries(t, label+": ipm queued", ref.Profile.Queued, got.Profile.Queued)
 	if r, g := ref.Profile.String(), got.Profile.String(); r != g {
-		t.Fatalf("%s: IPM profile rendering diverged:\n--- oracle ---\n%s\n--- got ---\n%s", label, r, g)
+		t.Fatalf("%s: IPM profile rendering diverged:\n--- first ---\n%s\n--- got ---\n%s", label, r, g)
 	}
 }
 
@@ -93,20 +97,18 @@ func TestParityNPBSkeletons(t *testing.T) {
 				continue
 			}
 			var ref *core.Outcome
-			for _, eng := range engines {
-				out, err := core.Execute(core.RunSpec{
-					Platform: platform.Vayu(), NP: np,
-					Runtime: eng.rt, EngineWorkers: eng.workers,
-				}, func(c *mpi.Comm) error { return fn(c, class) })
+			eachSchedule(func(sched string) {
+				out, err := core.Execute(core.RunSpec{Platform: platform.Vayu(), NP: np},
+					func(c *mpi.Comm) error { return fn(c, class) })
 				if err != nil {
-					t.Fatalf("%s.%s.%d under %s: %v", kernel, class, np, eng.name, err)
+					t.Fatalf("%s.%s.%d under %s: %v", kernel, class, np, sched, err)
 				}
 				if ref == nil {
 					ref = out
-					continue
+					return
 				}
-				sameOutcome(t, fmt.Sprintf("%s.%s.%d %s", kernel, class, np, eng.name), ref, out)
-			}
+				sameOutcome(t, fmt.Sprintf("%s.%s.%d %s", kernel, class, np, sched), ref, out)
+			})
 		}
 	}
 }
@@ -118,32 +120,28 @@ func TestParityOSU(t *testing.T) {
 	for _, p := range platform.All() {
 		for _, bench := range []string{"bw", "latency"} {
 			var ref []osu.Point
-			for _, eng := range engines {
-				if eng.rt == mpi.PDES && eng.workers == 1 {
-					continue // 2-rank worlds: pdes default already covers w=1 vs w=n
-				}
-				o := osu.Opts{Runtime: eng.rt}
+			eachSchedule(func(sched string) {
 				var pts []osu.Point
 				var err error
 				if bench == "bw" {
-					pts, err = osu.BandwidthOpts(p, sizes, o)
+					pts, err = osu.Bandwidth(p, sizes)
 				} else {
-					pts, err = osu.LatencyOpts(p, sizes, o)
+					pts, err = osu.Latency(p, sizes)
 				}
 				if err != nil {
-					t.Fatalf("osu %s on %s under %s: %v", bench, p.Name, eng.name, err)
+					t.Fatalf("osu %s on %s under %s: %v", bench, p.Name, sched, err)
 				}
 				if ref == nil {
 					ref = pts
-					continue
+					return
 				}
 				for i := range ref {
 					if math.Float64bits(ref[i].Value) != math.Float64bits(pts[i].Value) {
 						t.Fatalf("osu %s on %s under %s at %d bytes: %v vs %v",
-							bench, p.Name, eng.name, ref[i].Bytes, ref[i].Value, pts[i].Value)
+							bench, p.Name, sched, ref[i].Bytes, ref[i].Value, pts[i].Value)
 					}
 				}
-			}
+			})
 		}
 	}
 }
@@ -151,7 +149,7 @@ func TestParityOSU(t *testing.T) {
 // TestParityMetUMResilient cross-validates the MetUM proxy under a
 // firing fault plan with checkpoint/restart: the whole fault plane —
 // kills, scoreboard aborts, incarnation worlds — must behave identically
-// on both engines.
+// however the rank goroutines interleave.
 func TestParityMetUMResilient(t *testing.T) {
 	np := 16
 	plan, err := fault.Generate(fault.Spec{MTBF: 150, Horizon: 2000}, "ec2", "parity", np, 4, 7)
@@ -159,32 +157,30 @@ func TestParityMetUMResilient(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref *core.Outcome
-	for _, eng := range engines {
+	eachSchedule(func(sched string) {
 		out, err := core.Execute(core.RunSpec{
-			Platform: platform.EC2(), NP: np,
-			Runtime: eng.rt, EngineWorkers: eng.workers,
-			Faults: plan, Resilient: true,
+			Platform: platform.EC2(), NP: np, Faults: plan, Resilient: true,
 		}, metumSmokeJob())
 		if err != nil {
-			t.Fatalf("metum resilient under %s: %v", eng.name, err)
+			t.Fatalf("metum resilient under %s: %v", sched, err)
 		}
 		if out.Resilience == nil || out.Resilience.Restarts == 0 {
-			t.Fatalf("metum resilient under %s: plan did not fire (stats %+v)", eng.name, out.Resilience)
+			t.Fatalf("metum resilient under %s: plan did not fire (stats %+v)", sched, out.Resilience)
 		}
 		if ref == nil {
 			ref = out
-			continue
+			return
 		}
-		sameOutcome(t, "metum resilient "+eng.name, ref, out)
+		sameOutcome(t, "metum resilient "+sched, ref, out)
 		if fmt.Sprintf("%+v", ref.Resilience) != fmt.Sprintf("%+v", out.Resilience) {
-			t.Fatalf("metum resilient %s: stats %+v vs %+v", eng.name, ref.Resilience, out.Resilience)
+			t.Fatalf("metum resilient %s: stats %+v vs %+v", sched, ref.Resilience, out.Resilience)
 		}
-	}
+	})
 }
 
 // TestParityFaultFailFast cross-validates the non-resilient fault path:
-// a plan that kills a rank must fail the run with the same RankFailedError
-// on both engines.
+// a plan that kills a rank must fail the run with the same
+// RankFailedError, never a deadlock diagnosis, under every schedule.
 func TestParityFaultFailFast(t *testing.T) {
 	np := 16
 	fn, err := suite.Skeleton("cg")
@@ -196,31 +192,27 @@ func TestParityFaultFailFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref *mpi.RankFailedError
-	for _, eng := range engines {
-		_, err := core.Execute(core.RunSpec{
-			Platform: platform.DCC(), NP: np,
-			Runtime: eng.rt, EngineWorkers: eng.workers, Faults: plan,
-		}, func(c *mpi.Comm) error { return fn(c, npb.ClassA) })
+	eachSchedule(func(sched string) {
+		_, err := core.Execute(core.RunSpec{Platform: platform.DCC(), NP: np, Faults: plan},
+			func(c *mpi.Comm) error { return fn(c, npb.ClassA) })
 		var rf *mpi.RankFailedError
 		if !errors.As(err, &rf) {
-			t.Fatalf("under %s: want RankFailedError, got %v", eng.name, err)
+			t.Fatalf("under %s: want RankFailedError, got %v", sched, err)
 		}
 		if ref == nil {
 			ref = rf
-			continue
+			return
 		}
 		if ref.Rank != rf.Rank || ref.Node != rf.Node ||
 			math.Float64bits(ref.At) != math.Float64bits(rf.At) {
-			t.Fatalf("under %s: failure %+v vs oracle %+v", eng.name, rf, ref)
+			t.Fatalf("under %s: failure %+v vs %+v", sched, rf, ref)
 		}
-	}
+	})
 }
 
-// TestParityArtefactBytes regenerates smoke-sweep artefacts under both
-// engines and compares the generated bytes — the figure/table/manifest
-// files users actually consume. pdes1 is included: at the smoke sweep its
-// rank counts are small enough for the goroutine oracle to replay the
-// PDES engine's own scaling artefact.
+// TestParityArtefactBytes regenerates smoke-sweep artefacts under every
+// schedule and compares the generated bytes — the figure/table files
+// users actually consume.
 func TestParityArtefactBytes(t *testing.T) {
 	ids := []string{"fig4", "table2", "pdes1", "fac1", "fac2"}
 	if raceEnabled {
@@ -232,117 +224,31 @@ func TestParityArtefactBytes(t *testing.T) {
 	}
 	for _, a := range arts {
 		var ref map[string][]byte
-		for _, eng := range engines {
-			x := &experiments.Ctx{Sweep: experiments.SweepSmoke, Runtime: eng.rt}
-			files, err := a.Gen(x)
+		eachSchedule(func(sched string) {
+			files, err := a.Gen(&experiments.Ctx{Sweep: experiments.SweepSmoke})
 			if err != nil {
-				t.Fatalf("artefact %s under %s: %v", a.ID, eng.name, err)
+				t.Fatalf("artefact %s under %s: %v", a.ID, sched, err)
 			}
 			if ref == nil {
 				ref = files
-				continue
+				return
 			}
 			if len(files) != len(ref) {
-				t.Fatalf("artefact %s under %s: %d files vs %d", a.ID, eng.name, len(files), len(ref))
+				t.Fatalf("artefact %s under %s: %d files vs %d", a.ID, sched, len(files), len(ref))
 			}
 			for name, data := range files {
 				if string(data) != string(ref[name]) {
-					t.Fatalf("artefact %s under %s: %s diverged from the oracle's bytes",
-						a.ID, eng.name, name)
+					t.Fatalf("artefact %s under %s: %s diverged", a.ID, sched, name)
 				}
 			}
-		}
-	}
-}
-
-// TestParityFacility cross-validates the batch facility's job-execution
-// leg: broker calibration is built from real core.Execute reference runs,
-// so the calibrated factors — and every facility decision downstream of
-// them — must be bit-identical whichever engine performed those runs,
-// and whichever scheduler implementation (incremental heap or sort-pass
-// oracle) replays the calibrated schedule.
-func TestParityFacility(t *testing.T) {
-	jobs, err := facility.Generate(facility.WorkloadSpec{
-		Seed: 7, Jobs: 120, Tenants: 15, Slots: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheds := []facility.SchedKind{facility.SchedHeap, facility.SchedSort}
-	var refBroker *facility.Broker
-	var refDigest string
-	for _, eng := range engines {
-		broker, err := facility.CalibrateBroker(facility.CalibrateOpts{
-			Runtime: eng.rt, EngineWorkers: eng.workers,
 		})
-		if err != nil {
-			t.Fatalf("calibration under %s: %v", eng.name, err)
-		}
-		for _, sched := range scheds {
-			f, err := facility.New(facility.Config{
-				Slots:     [facility.NumPools]int{64, 32, 32},
-				Backfill:  true,
-				Fairshare: true,
-				Sched:     sched,
-				Broker:    broker,
-				Prices:    [facility.NumPools]float64{0, 0.34, 0.68},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := f.Run(jobs)
-			if err != nil {
-				t.Fatalf("facility under %s/%s: %v", eng.name, sched, err)
-			}
-			digest := facility.Digest(res)
-			if refDigest == "" {
-				refBroker, refDigest = broker, digest
-				continue
-			}
-			if digest != refDigest {
-				t.Fatalf("facility digest under %s/%s diverged from the oracle's schedule",
-					eng.name, sched)
-			}
-		}
-		if refBroker != broker {
-			for _, class := range facility.CalibratedClasses() {
-				a, b := refBroker.Factors[class], broker.Factors[class]
-				for p := range a {
-					if math.Float64bits(a[p]) != math.Float64bits(b[p]) {
-						t.Fatalf("class %s factor on %s under %s: %v vs oracle %v",
-							class, facility.Pool(p), eng.name, b[p], a[p])
-					}
-				}
-			}
-		}
 	}
 }
 
-// TestPDESDeadlockDiagnosis checks the engine's structural win over the
-// oracle: a deadlocked world is detected the moment it quiesces — with
-// the blocked ranks' wait predicates in the error — instead of timing
-// out against the wall-clock watchdog.
-func TestPDESDeadlockDiagnosis(t *testing.T) {
-	_, err := mpi.RunOn(platform.Vayu(), 4, func(c *mpi.Comm) error {
-		if c.Rank() == 0 {
-			c.RecvN(3, 99) // rank 3 never sends: deadlock once all others exit
-		}
-		return nil
-	}, mpi.WithRuntime(mpi.PDES))
-	if err == nil {
-		t.Fatal("deadlocked world returned no error")
-	}
-	for _, want := range []string{"deadlock", "rank 0", "tag=99"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("diagnosis %q missing %q", err, want)
-		}
-	}
-}
-
-// TestPDESClassB16kRanks is the scale acceptance check: the PDES engine
-// completes a 16384-rank class-B EP skeleton world — beyond any stock
-// platform's slot count — in ordinary test time. The instrumented run
-// scales down but stays above the oracle's practical range.
+// TestPDESClassB16kRanks is the scale acceptance check behind the E13
+// artefact (pdes1, whose name it shares): a 16384-rank class-B EP
+// skeleton world — beyond any stock platform's slot count — completes in
+// ordinary test time. The instrumented run scales down to 2048 ranks.
 func TestPDESClassB16kRanks(t *testing.T) {
 	np := 16384
 	if raceEnabled {
@@ -353,7 +259,7 @@ func TestPDESClassB16kRanks(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := platform.Scaled(platform.Vayu(), np)
-	out, err := core.Execute(core.RunSpec{Platform: p, NP: np, Runtime: mpi.PDES},
+	out, err := core.Execute(core.RunSpec{Platform: p, NP: np},
 		func(c *mpi.Comm) error { return fn(c, npb.ClassB) })
 	if err != nil {
 		t.Fatal(err)
