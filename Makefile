@@ -46,25 +46,30 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short seeded-corpus fuzz passes over the fault plane and the spot-market
-# simulator. Bounded by FUZZTIME so verify stays a fixed-cost gate; raise it
-# (make fuzz FUZZTIME=5m) for a real fuzzing session.
+# Short seeded-corpus fuzz passes over the fault plane, the facility's
+# spot execution model and the parsers of outside input (manifests,
+# traces, -faults strings). Bounded by FUZZTIME so verify stays a fixed-cost gate; raise it
+# (make fuzz FUZZTIME=5m) for a real fuzzing session. The obs targets seed
+# from whole committed files, so their minimisation is capped: shrinking a
+# kilobyte input would otherwise eat the whole budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFaultPlan -fuzztime $(FUZZTIME) ./internal/fault
+	$(GO) test -run '^$$' -fuzz FuzzParseParams -fuzztime $(FUZZTIME) ./internal/fault
+	$(GO) test -run '^$$' -fuzz FuzzSpotConfig -fuzztime $(FUZZTIME) ./internal/facility
 	$(GO) test -run '^$$' -fuzz FuzzSpotRun -fuzztime $(FUZZTIME) ./internal/arrive
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime $(FUZZTIME) ./internal/pdes
 	$(GO) test -run '^$$' -fuzz FuzzDeadlockDiagnosis -fuzztime $(FUZZTIME) ./internal/mpi
 	$(GO) test -run '^$$' -fuzz FuzzWorkloadGen -fuzztime $(FUZZTIME) ./internal/facility
 	$(GO) test -run '^$$' -fuzz FuzzFacility -fuzztime $(FUZZTIME) ./internal/facility
 	$(GO) test -run '^$$' -fuzz FuzzParseSWF -fuzztime $(FUZZTIME) ./internal/facility
+	$(GO) test -run '^$$' -fuzz FuzzDecodeManifest -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzParseChromeTrace -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/obs
 
 # Full microbenchmark run: measures the perfbench suite (ns/op, B/op,
-# allocs/op), checks allocation and ns/op budgets, rewrites BENCH_PR3.json
-# with the committed numbers as the before column, and appends a snapshot
+# allocs/op), checks allocation and ns/op budgets, and appends a snapshot
 # (with environment provenance) to the append-only bench history.
 bench: build
-	$(GO) run ./cmd/bench -baseline BENCH_PR3.json -out BENCH_PR3.json \
-		-history results/bench/history.jsonl
+	$(GO) run ./cmd/bench -history results/bench/history.jsonl
 
 # Trend report over the bench history: per-benchmark deltas vs the
 # previous snapshot and the trailing-window baseline, with statistical

@@ -4,14 +4,13 @@
 //
 // Usage:
 //
-//	bench [-out BENCH_PR3.json] [-baseline BENCH_PR3.json] [-history results/bench/history.jsonl]
+//	bench [-history results/bench/history.jsonl]
 //	bench -smoke
 //	bench -report [-history FILE] [-fail-on-regression] [MANIFEST...]
 //
 // Full mode measures every benchmark with testing.Benchmark (ns/op, B/op,
-// allocs/op), checks the allocation and timing budgets, writes the JSON
-// report (carrying the baseline's "before" numbers along) and appends
-// one environment-stamped snapshot to the history. Smoke mode (-smoke)
+// allocs/op), checks the allocation and timing budgets and appends one
+// environment-stamped snapshot to the history. Smoke mode (-smoke)
 // skips the suite-wide timing measurements and only checks the budgets —
 // the cheap gate `make verify` uses. Report mode (-report) renders the
 // per-benchmark trend table from the history (delta vs previous and vs
@@ -39,8 +38,6 @@ import (
 )
 
 func main() {
-	out := flag.String("out", "", "write the JSON report to this file")
-	baseline := flag.String("baseline", "", "carry before-numbers from this prior report")
 	smoke := flag.Bool("smoke", false, "budget checks only (no suite-wide timing, no history)")
 	runs := flag.Int("runs", 3, "runs per testing.AllocsPerRun measurement")
 	history := flag.String("history", "", "append-only bench history (JSONL) to append to / report from")
@@ -111,12 +108,6 @@ func main() {
 		return
 	}
 
-	prev, err := perfbench.ReadReport(*baseline)
-	if err != nil {
-		fatal(err)
-	}
-
-	entries := make([]perfbench.Entry, 0, len(suite))
 	stats := make(map[string]perfbench.Stats, len(suite))
 	var nsViolations []perfbench.NsViolation
 	for _, b := range suite {
@@ -124,33 +115,12 @@ func main() {
 		st := perfbench.Measure(b)
 		fmt.Printf("%12.0f ns/op %10.0f B/op %8.0f allocs/op\n", st.NsPerOp, st.BytesPerOp, st.AllocsPerOp)
 		stats[b.Name] = st
-		entries = append(entries, perfbench.Entry{Name: b.Name, After: &st,
-			AllocBudget: b.AllocBudget, NsBudget: b.NsBudget})
 		if b.NsBudget > 0 && st.NsPerOp > b.NsBudget*(1+*nsTolerance) {
 			nsViolations = append(nsViolations, perfbench.NsViolation{
 				Name: b.Name, Measured: st.NsPerOp, Budget: b.NsBudget, Tolerance: *nsTolerance})
 		}
 	}
-	measured, violations := perfbench.CheckBudgets(suite, *runs)
-	for i := range entries {
-		if v, ok := measured[entries[i].Name]; ok {
-			entries[i].AllocsPerRun = v
-		}
-	}
-
-	rep := perfbench.NewReport(core.ModelVersion, entries, prev)
-	for _, e := range rep.Benchmarks {
-		if s := e.Speedup(func(s perfbench.Stats) float64 { return s.AllocsPerOp }); s > 0 {
-			fmt.Printf("%-24s %6.1fx fewer allocs/op, %5.2fx ns/op vs baseline\n",
-				e.Name, s, e.Speedup(func(s perfbench.Stats) float64 { return s.NsPerOp }))
-		}
-	}
-	if *out != "" {
-		if err := perfbench.WriteReport(*out, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("bench: report written to %s\n", *out)
-	}
+	_, violations := perfbench.CheckBudgets(suite, *runs)
 	if *history != "" {
 		when := start.UTC().Format(time.RFC3339)
 		snap := perfbench.SnapshotFromStats(core.ModelVersion, when, env, stats)

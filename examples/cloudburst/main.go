@@ -1,7 +1,8 @@
 // Cloudburst: the paper's motivating scenario end-to-end. Profile
 // representative workloads once (ARRIVE-F style), predict their runtimes
-// on the EC2 cloud, classify which are burst candidates, then simulate a
-// saturated HPC queue with and without profile-guided cloudbursting.
+// on the EC2 cloud, classify which are burst candidates, then run the same
+// job stream through the batch facility twice: HPC only, and with an
+// ARRIVE-F broker that may burst cloud-friendly jobs to EC2.
 //
 //	go run ./examples/cloudburst
 package main
@@ -14,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cpumodel"
+	"repro/internal/facility"
 	"repro/internal/mpi"
 	"repro/internal/npb"
 	"repro/internal/npb/suite"
@@ -89,46 +91,61 @@ func main() {
 		Title:   "ARRIVE-style platform advice (profiles taken on vayu)",
 		Headers: []string{"workload", "class", "burst?", "t(vayu)", "t(ec2)", "slowdown"},
 	}
-	var jobs []arrive.Job
+	var jobs []facility.Job
+	// The broker's per-class EC2 factors are the profiles' predicted
+	// slowdowns; its MaxSlowdown filter keeps the communication-bound
+	// classes at home.
+	broker := &facility.Broker{
+		Factors:     make(map[string][facility.NumPools]float64, len(candidates)),
+		MaxSlowdown: 1.6,
+	}
 	for i, cand := range candidates {
 		vayu := cand.w.Predict(platform.Vayu())
 		ec2 := cand.w.Predict(platform.EC2())
 		slow := cand.w.Slowdown(platform.EC2())
 		table.AddRow(cand.w.Name, string(cand.w.Classify()),
-			fmt.Sprintf("%v", cand.w.CloudFriendly(platform.EC2(), 1.6)), vayu.Total, ec2.Total, slow)
+			fmt.Sprintf("%v", cand.w.CloudFriendly(platform.EC2(), broker.MaxSlowdown)), vayu.Total, ec2.Total, slow)
+		broker.Factors[cand.w.Name] = [facility.NumPools]float64{facility.PoolEC2: slow}
 		// Queue scenario: 8 copies of each workload submitted a minute apart.
 		for k := 0; k < 8; k++ {
-			jobs = append(jobs, arrive.Job{
-				ID:            fmt.Sprintf("%s-%d", cand.w.Name, k),
-				NP:            cand.np,
-				Runtime:       vayu.Total,
-				Submit:        float64((i*8 + k) * 60),
-				CloudSlowdown: slow,
+			jobs = append(jobs, facility.Job{
+				Tenant:  cand.w.Name,
+				Class:   cand.w.Name,
+				NP:      cand.np,
+				Runtime: vayu.Total,
+				Submit:  float64((i*8 + k) * 60),
 			})
 		}
 	}
 	fmt.Print(table.Render())
 
-	const clusterSlots = 64 // a contended partition of the HPC facility
-	base, err := arrive.SimulateQueue(jobs, clusterSlots, arrive.BurstPolicy{})
-	if err != nil {
-		log.Fatal(err)
+	// A contended 64-slot partition of the HPC facility, plus (for the
+	// burst run) an EC2 pool large enough never to queue.
+	prices := [facility.NumPools]float64{facility.PoolEC2: 0.68}
+	run := func(slots [facility.NumPools]int, b *facility.Broker) facility.Summary {
+		f, err := facility.New(facility.Config{Slots: slots, Broker: b, Prices: prices})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := f.Run(jobs)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return facility.Summarize(res.Outcomes, 0)
 	}
-	burst, err := arrive.SimulateQueue(jobs, clusterSlots, arrive.BurstPolicy{
-		Enabled:      true,
-		MaxSlowdown:  1.6,
-		MinQueueWait: 300,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	base := run([facility.NumPools]int{facility.PoolHPC: 64}, nil)
+	burst := run([facility.NumPools]int{facility.PoolHPC: 64, facility.PoolEC2: 1024}, broker)
 
 	q := &report.Table{
 		Title:   "Saturated queue: FCFS vs profile-guided cloudburst",
-		Headers: []string{"policy", "avg wait (s)", "max wait (s)", "makespan (s)", "jobs burst", "cloud core-hours"},
+		Headers: []string{"policy", "avg wait (s)", "max wait (s)", "makespan (s)", "jobs burst", "cloud cost $"},
 	}
-	q.AddRow("hpc only", base.AvgWait, base.MaxWait, base.Makespan, base.Burst, base.CloudSecs/3600)
-	q.AddRow("cloudburst", burst.AvgWait, burst.MaxWait, burst.Makespan, burst.Burst, burst.CloudSecs/3600)
+	for _, r := range []struct {
+		name string
+		s    facility.Summary
+	}{{"hpc only", base}, {"cloudburst", burst}} {
+		q.AddRow(r.name, r.s.AvgWait, r.s.MaxWait, r.s.Makespan, r.s.Jobs-r.s.ByPool[facility.PoolHPC], r.s.Cost)
+	}
 	fmt.Println()
 	fmt.Print(q.Render())
 

@@ -8,6 +8,12 @@
 // core speed under the target placement, communication is rebuilt from the
 // recorded call mix (counts, bytes, collective round counts) against the
 // target interconnect, and I/O scales with filesystem bandwidth.
+//
+// The package also models the EC2 spot price path (SpotMarket) that the
+// paper's closing future-work item bids against. Simulating the queue
+// those predictions feed — bursting, spot interruptions, billing — is
+// internal/facility's job: its Broker consumes Slowdown and its
+// MarketSpot consumes InterruptionPlan.
 package arrive
 
 import (

@@ -108,78 +108,3 @@ func TestRecommendOrdering(t *testing.T) {
 		t.Fatal("prediction should render")
 	}
 }
-
-func TestQueueBurstingReducesWait(t *testing.T) {
-	// A saturated queue: many compute-bound jobs on a small cluster.
-	var jobs []Job
-	for i := 0; i < 40; i++ {
-		jobs = append(jobs, Job{
-			ID: "job", NP: 32, Runtime: 3600,
-			Submit:        float64(i * 60),
-			CloudSlowdown: 1.2,
-		})
-	}
-	base, err := SimulateQueue(jobs, 64, BurstPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	burst, err := SimulateQueue(jobs, 64, BurstPolicy{
-		Enabled: true, MaxSlowdown: 1.5, MinQueueWait: 600,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.AvgWait <= 0 {
-		t.Fatalf("saturated baseline should have waits, got %+v", base)
-	}
-	if burst.Burst == 0 {
-		t.Fatal("policy should burst some jobs")
-	}
-	improvement := (base.AvgWait - burst.AvgWait) / base.AvgWait
-	t.Logf("avg wait: base=%.0fs burst=%.0fs (%.0f%% better, %d jobs burst)",
-		base.AvgWait, burst.AvgWait, improvement*100, burst.Burst)
-	// The ARRIVE-F paper reports ~33% improvement; we only need a clear win.
-	if improvement < 0.2 {
-		t.Fatalf("bursting should improve waits by >= 20%%, got %.0f%%", improvement*100)
-	}
-	if burst.CloudSecs <= 0 {
-		t.Fatal("burst jobs should consume cloud time")
-	}
-}
-
-func TestQueueSlowJobsStayHome(t *testing.T) {
-	jobs := []Job{
-		{ID: "chatty", NP: 16, Runtime: 1000, Submit: 0, CloudSlowdown: 6.7},
-		{ID: "chatty2", NP: 16, Runtime: 1000, Submit: 1, CloudSlowdown: 6.7},
-	}
-	stats, err := SimulateQueue(jobs, 16, BurstPolicy{Enabled: true, MaxSlowdown: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Burst != 0 {
-		t.Fatalf("communication-bound jobs must not burst, got %d", stats.Burst)
-	}
-}
-
-func TestQueueErrors(t *testing.T) {
-	if _, err := SimulateQueue(nil, 0, BurstPolicy{}); err == nil {
-		t.Fatal("zero capacity should fail")
-	}
-	if _, err := SimulateQueue([]Job{{ID: "big", NP: 128, Runtime: 1}}, 64, BurstPolicy{}); err == nil {
-		t.Fatal("oversized job should fail")
-	}
-}
-
-func TestQueueLimitedCloudSlots(t *testing.T) {
-	var jobs []Job
-	for i := 0; i < 10; i++ {
-		jobs = append(jobs, Job{ID: "j", NP: 8, Runtime: 100, Submit: 0, CloudSlowdown: 1.1})
-	}
-	stats, err := SimulateQueue(jobs, 8, BurstPolicy{Enabled: true, MaxSlowdown: 2, CloudSlots: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Burst > 2 {
-		t.Fatalf("only 16 cloud slots: at most 2 concurrent bursts initially, got %d", stats.Burst)
-	}
-}

@@ -9,11 +9,12 @@ import (
 
 // Spot-market support: the paper's Section VI closes with "we plan to
 // integrate Amazon EC2 spot-pricing into our local ANUPBS scheduler, to
-// avail of price competitive compute resources". This file implements
-// that step: a deterministic spot-price process (mean-reverting around a
-// fraction of the on-demand price, with demand spikes), and a job runner
-// with bid/outbid/checkpoint-restart semantics so schedulers can weigh
-// cost against completion risk.
+// avail of price competitive compute resources". This file holds the
+// market half of that step: a deterministic spot-price process
+// (mean-reverting around a fraction of the on-demand price, with demand
+// spikes) and its conversion, against a bid, into fault-plane outage
+// windows. Running jobs on that market — interruptions, checkpoint
+// rollback, billing — is the batch facility's job (facility.MarketSpot).
 
 // SpotMarket generates a deterministic hourly price path for one instance
 // type.
@@ -63,24 +64,12 @@ func (m *SpotMarket) Price(h int) float64 {
 	return p
 }
 
-// SpotOutcome summarises one spot execution attempt.
-type SpotOutcome struct {
-	Completed     bool
-	Interruptions int
-	WallHours     float64 // submission to completion, including waits
-	ComputeHours  float64 // billed node-hours
-	ProgressHours float64 // surviving job progress, node-local hours
-	Cost          float64 // spot bill, $
-	OnDemandCost  float64 // what the same job costs on demand, $
-	Savings       float64 // 1 - Cost/OnDemandCost (negative = more expensive)
-}
-
 // InterruptionPlan converts the price path against a bid into the fault
 // plane's terms: one outage window per contiguous span of outbid hours,
 // opening with a preemption of node 0 at the outage's first hour. Times
-// are in hours. The MPI runtime and SpotRun both consume this
-// representation, so the spot example and the simulated runtime can
-// never disagree about when capacity was lost.
+// are in hours. The MPI runtime and the facility's spot pool both
+// consume this representation, so the spot example and the simulated
+// runtime can never disagree about when capacity was lost.
 func (m *SpotMarket) InterruptionPlan(bid, maxHours float64) (*fault.Plan, error) {
 	if bid <= 0 {
 		return nil, fmt.Errorf("arrive: bid must be positive")
@@ -107,99 +96,4 @@ func (m *SpotMarket) InterruptionPlan(bid, maxHours float64) (*fault.Plan, error
 		}
 	}
 	return p, nil
-}
-
-// SpotRun executes a job of `hours` node-hours-per-node duration on
-// `nodes` spot instances with the given bid: the job runs in hours where
-// the spot price is at or below the bid, is interrupted (losing progress
-// back to the last checkpoint) when outbid, and resumes when the price
-// recovers. checkpointHours of 0 means no checkpointing: every
-// interruption restarts from zero. maxHours bounds the attempt (0 = two
-// weeks). Negative checkpointHours or maxHours is an error.
-func (m *SpotMarket) SpotRun(hours float64, nodes int, bid, checkpointHours, maxHours float64) (SpotOutcome, error) {
-	if hours <= 0 || nodes <= 0 {
-		return SpotOutcome{}, fmt.Errorf("arrive: spot job needs positive size")
-	}
-	if checkpointHours < 0 {
-		return SpotOutcome{}, fmt.Errorf("arrive: checkpointHours must be non-negative")
-	}
-	if maxHours < 0 {
-		return SpotOutcome{}, fmt.Errorf("arrive: maxHours must be non-negative")
-	}
-	plan, err := m.InterruptionPlan(bid, maxHours)
-	if err != nil {
-		return SpotOutcome{}, err
-	}
-	if maxHours == 0 {
-		maxHours = 24 * 14
-	}
-	out := SpotOutcome{OnDemandCost: hours * float64(nodes) * m.OnDemand}
-
-	// Interruption mechanics are delegated to the fault plane: the plan
-	// says when capacity is lost, Progress does the checkpoint/rollback
-	// arithmetic; this loop only bills the hours.
-	prog := fault.Progress{Total: hours, Quantum: checkpointHours}
-	running := false
-	for h := 0; float64(h) < maxHours; h++ {
-		if plan.OutageAt(float64(h)) {
-			if running {
-				running = false
-				out.Interruptions++
-				prog.Interrupt()
-			}
-			continue
-		}
-		running = true
-		step := prog.Advance(1)
-		out.ComputeHours += step * float64(nodes)
-		out.Cost += step * float64(nodes) * m.Price(h)
-		if checkpointHours > 0 {
-			prog.Checkpoint()
-		}
-		if prog.Completed() {
-			out.Completed = true
-			out.WallHours = float64(h) + 1
-			break
-		}
-	}
-	if !out.Completed {
-		out.WallHours = maxHours
-	}
-	out.ProgressHours = prog.Done
-	if out.OnDemandCost > 0 {
-		out.Savings = 1 - out.Cost/out.OnDemandCost
-	}
-	return out, nil
-}
-
-// BestBid sweeps candidate bids between the market floor and the
-// on-demand price and returns the cheapest bid that completes the job
-// within maxHours (falling back to the most reliable bid when none
-// completes).
-func (m *SpotMarket) BestBid(hours float64, nodes int, checkpointHours, maxHours float64) (float64, SpotOutcome, error) {
-	bestBid := 0.0
-	var best SpotOutcome
-	found := false
-	for bid := m.Floor; bid <= m.OnDemand*1.05; bid += 0.05 {
-		out, err := m.SpotRun(hours, nodes, bid, checkpointHours, maxHours)
-		if err != nil {
-			return 0, SpotOutcome{}, err
-		}
-		better := false
-		switch {
-		case out.Completed && (!found || !best.Completed):
-			better = true
-		case out.Completed == best.Completed && out.Cost < best.Cost && found:
-			better = out.Completed // only compare costs among completing bids
-		case !found:
-			better = true
-		}
-		if better {
-			bestBid, best, found = bid, out, true
-		}
-	}
-	if !found {
-		return 0, SpotOutcome{}, fmt.Errorf("arrive: no viable bid")
-	}
-	return bestBid, best, nil
 }

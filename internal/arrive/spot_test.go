@@ -49,92 +49,29 @@ func TestSpotPriceUsuallyBelowOnDemand(t *testing.T) {
 	}
 }
 
-func TestSpotRunHighBidCompletesCheaply(t *testing.T) {
-	m := NewSpotMarket(5)
-	out, err := m.SpotRun(24, 4, m.OnDemand*1.6, 1, 0)
+func TestInterruptionPlanMatchesPricePath(t *testing.T) {
+	m := NewSpotMarket(3)
+	const bid, horizon = 0.5, 200.0
+	plan, err := m.InterruptionPlan(bid, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Completed {
-		t.Fatalf("bid above all spikes should complete: %+v", out)
+	for h := 0; float64(h) < horizon; h++ {
+		outbid := m.Price(h) > bid
+		if got := plan.OutageAt(float64(h)); got != outbid {
+			t.Fatalf("hour %d: outage=%v but price %g vs bid %g", h, got, m.Price(h), bid)
+		}
 	}
-	if out.Savings <= 0.3 {
-		t.Fatalf("spot savings = %.2f, want substantial (>0.3)", out.Savings)
+	// Every outage window opens with its preemption.
+	if len(plan.Outages) == 0 {
+		t.Skip("seed produced no outages below this bid")
 	}
-	if out.Cost >= out.OnDemandCost {
-		t.Fatal("spot should cost less than on-demand")
+	if len(plan.Preemptions) != len(plan.Outages) {
+		t.Fatalf("%d preemptions for %d outages", len(plan.Preemptions), len(plan.Outages))
 	}
-}
-
-func TestSpotRunLowBidInterrupted(t *testing.T) {
-	m := NewSpotMarket(5)
-	// A bid barely above the floor gets outbid often.
-	low, err := m.SpotRun(48, 2, m.Floor+0.02, 1, 24*10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	high, err := m.SpotRun(48, 2, m.OnDemand*1.6, 1, 24*10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if low.Interruptions <= high.Interruptions {
-		t.Fatalf("low bid should be interrupted more: %d vs %d", low.Interruptions, high.Interruptions)
-	}
-	if low.Completed && low.WallHours <= high.WallHours {
-		t.Fatal("low bid cannot finish sooner than high bid")
-	}
-}
-
-func TestCheckpointingLimitsLostWork(t *testing.T) {
-	m := NewSpotMarket(13)
-	bid := m.Mean + 0.05 // interrupted now and then
-	with, err := m.SpotRun(40, 1, bid, 1, 24*14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := m.SpotRun(40, 1, bid, 0, 24*14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if with.Interruptions == 0 {
-		t.Skip("seed produced no interruptions at this bid")
-	}
-	// No checkpoints => restarts from zero => at least as many billed
-	// hours (usually far more) and no earlier completion.
-	if without.ComputeHours < with.ComputeHours {
-		t.Fatalf("checkpoint-free run billed fewer hours: %v vs %v", without.ComputeHours, with.ComputeHours)
-	}
-	if without.Completed && !with.Completed {
-		t.Fatal("checkpointing should not hurt completion")
-	}
-}
-
-func TestSpotRunValidation(t *testing.T) {
-	m := NewSpotMarket(1)
-	if _, err := m.SpotRun(0, 1, 1, 1, 0); err == nil {
-		t.Fatal("zero-hour job should fail")
-	}
-	if _, err := m.SpotRun(1, 0, 1, 1, 0); err == nil {
-		t.Fatal("zero nodes should fail")
-	}
-	if _, err := m.SpotRun(1, 1, 0, 1, 0); err == nil {
-		t.Fatal("zero bid should fail")
-	}
-}
-
-func TestBestBidCompletesAndSaves(t *testing.T) {
-	m := NewSpotMarket(21)
-	bid, out, err := m.BestBid(24, 4, 1, 24*7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Completed {
-		t.Fatalf("best bid %v did not complete: %+v", bid, out)
-	}
-	if bid <= 0 || bid > m.OnDemand*1.05+1e-9 {
-		t.Fatalf("bid out of range: %v", bid)
-	}
-	if out.Savings <= 0 {
-		t.Fatalf("best bid should save money: %+v", out)
+	for i, o := range plan.Outages {
+		if plan.Preemptions[i].At != o.Start {
+			t.Fatalf("outage %d starts at %g but preemption at %g", i, o.Start, plan.Preemptions[i].At)
+		}
 	}
 }

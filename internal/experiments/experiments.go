@@ -632,7 +632,7 @@ func Fig7Breakdown() (string, error) { return (&Ctx{}).Fig7Breakdown() }
 func Chaste32Prose() (*report.Table, error) { return (&Ctx{}).Chaste32Prose() }
 
 // UMProfile exposes the IPM profile of one UM run for downstream analysis
-// (used by the cloudburst example and the arrive package tests).
+// (used by cmd/arrive).
 func UMProfile(p *platform.Platform, np int) (*ipm.Profile, error) {
 	_, out, err := (&Ctx{}).umRun(p, np, 0)
 	if err != nil {

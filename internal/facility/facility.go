@@ -9,9 +9,9 @@
 // The simulation is entirely event-driven: arrivals, completions and
 // limit kills are events on a strict-total-order virtual-time heap
 // (pdes.Queue), so a facility run is a pure function of (workload,
-// config) — bit-reproducible at any host parallelism, and byte-compared
-// against the small-N oracle arrive.SimulateQueue by the
-// cross-validation tests.
+// config) — bit-reproducible at any host parallelism, and compared bit
+// for bit against a small-N strict-FCFS list scheduler (the oracle in
+// oracle_test.go) by the cross-validation tests.
 //
 // The scheduler keeps incremental structures — a lazily re-keyed
 // pending heap, a maintained release profile for EASY reservations, and
@@ -274,7 +274,7 @@ type StreamResult struct {
 
 // event kinds; completions order before arrivals at equal times so a
 // slot freed at t can be reused by a job submitted at t (the same
-// convention arrive.SimulateQueue's interval arithmetic encodes).
+// convention the FCFS test oracle's interval arithmetic encodes).
 const (
 	kindComplete = 0
 	kindArrive   = 1

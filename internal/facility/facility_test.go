@@ -268,6 +268,52 @@ func TestBrokerRouting(t *testing.T) {
 	}
 }
 
+// TestBrokerBurstingReducesWait is the cloudburst claim on the facility:
+// on a saturated HPC partition, a broker with cloud-friendly factors
+// gives a strictly lower mean wait than static placement of the same
+// jobs. A small EC2 pool still bursts, but never runs more slots at once
+// than it has.
+func TestBrokerBurstingReducesWait(t *testing.T) {
+	var jobs []Job
+	for i := 0; i < 40; i++ {
+		jobs = append(jobs, Job{Tenant: "t", Class: "ep", NP: 32, Runtime: 3600, Submit: float64(i * 60)})
+	}
+	base := Summarize(mustRun(t, Config{Slots: [NumPools]int{64}}, jobs).Outcomes, 0)
+	if base.AvgWait <= 0 {
+		t.Fatalf("saturated baseline should have waits, got %+v", base)
+	}
+	broker := &Broker{Factors: map[string][NumPools]float64{"ep": {1, 0, 1.2}}, MaxSlowdown: 1.5}
+	for _, ec2 := range []int{1024, 64} {
+		cfg := Config{
+			Slots:  [NumPools]int{PoolHPC: 64, PoolEC2: ec2},
+			Broker: broker,
+			Prices: [NumPools]float64{PoolEC2: 0.68},
+		}
+		res := mustRun(t, cfg, jobs)
+		burst := Summarize(res.Outcomes, 0)
+		if burst.ByPool[PoolEC2] == 0 || burst.Cost <= 0 {
+			t.Fatalf("ec2=%d: no job burst to the cloud: %+v", ec2, burst)
+		}
+		if !(burst.AvgWait < base.AvgWait) {
+			t.Fatalf("ec2=%d: bursting did not cut the mean wait: %g vs %g", ec2, burst.AvgWait, base.AvgWait)
+		}
+		for _, o := range res.Outcomes {
+			if o.Pool != PoolEC2 {
+				continue
+			}
+			busy := 0
+			for _, p := range res.Outcomes {
+				if p.Pool == PoolEC2 && p.Start <= o.Start && o.Start < p.End {
+					busy += p.NP
+				}
+			}
+			if busy > ec2 {
+				t.Fatalf("ec2=%d: %d slots busy at t=%g", ec2, busy, o.Start)
+			}
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{},                                 // no HPC slots
@@ -425,6 +471,29 @@ func TestMarketSpot(t *testing.T) {
 	}
 	if s.Price != 0.56 {
 		t.Fatalf("spot price %g, want the market mean 0.56", s.Price)
+	}
+
+	// Outages grow as the bid falls: a bid above every spike is never
+	// outbid, a bid just above the floor is outbid for longer than 0.60.
+	high, err := MarketSpot(11, 3.2, 24*7, 1<<26)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(high.Plan.Outages) != 0 {
+		t.Fatalf("a bid above every spike saw %d outages", len(high.Plan.Outages))
+	}
+	low, err := MarketSpot(11, 0.32, 24*7, 1<<26)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outage := func(c *SpotConfig) (sum float64) {
+		for _, o := range c.Plan.Outages {
+			sum += o.End - o.Start
+		}
+		return sum
+	}
+	if !(outage(low) > outage(s)) {
+		t.Fatalf("floor bid outbid for %gs, 0.60 bid for %gs", outage(low), outage(s))
 	}
 }
 

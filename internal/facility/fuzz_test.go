@@ -2,6 +2,7 @@ package facility
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -154,6 +155,68 @@ func FuzzFacility(f *testing.F) {
 		}
 		if Digest(res) != Digest(res2) {
 			t.Fatal("rerun digest diverged")
+		}
+	})
+}
+
+// FuzzSpotConfig walks one spot job through a market-derived outage plan
+// (SpotConfig.run) over random market seeds, bids, job lengths, start
+// times and checkpoint settings, and checks the execution model's
+// invariants: billed and lost time are never negative, the job never
+// finishes before start+base, a rerun is bit-identical, and with free
+// checkpoints a checkpointed job never finishes later than the same job
+// restarting from zero.
+func FuzzSpotConfig(f *testing.F) {
+	f.Add(uint64(2012), 0.56, 87480.0, 0.0, 3600.0, uint8(4), uint8(1))
+	f.Add(uint64(2012), 0.34, 87480.0, 0.0, 0.0, uint8(4), uint8(0))
+	f.Add(uint64(11), 0.60, 3*86400.0, 5000.0, 600.0, uint8(32), uint8(13))
+	f.Add(uint64(3), 2.56, 100.0, 7200.5, 61.0, uint8(1), uint8(2))
+	f.Add(uint64(7), 0.45, 200000.0, 86400.0, 7200.0, uint8(16), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, bid, base, start, ck float64, np8, ck8 uint8) {
+		// Sanitise into the valid domain; validation has its own tests.
+		// Job lengths stay within a week and checkpoint intervals at or
+		// above a minute, bounding the walk's segment count.
+		bid = 0.05 + math.Min(math.Abs(bid), 3)
+		base = 1 + math.Min(math.Abs(base), 7*86400)
+		start = math.Min(math.Abs(start), 14*86400)
+		ck = math.Min(math.Abs(ck), 86400)
+		if ck > 0 && ck < 60 {
+			ck += 60
+		}
+		np := 1 + int(np8%64)
+		var ckBytes int64
+		if ck8%2 == 1 {
+			ckBytes = 1 << (16 + ck8%14)
+		}
+		if math.IsNaN(bid + base + start + ck) {
+			return
+		}
+
+		spot, err := MarketSpot(seed, bid, 0, ckBytes)
+		if err != nil {
+			t.Fatalf("valid market rejected: %v", err)
+		}
+		spot.CheckpointInterval = ck
+		r := spot.run(start, base, np)
+		if r.billed < 0 || r.lost < 0 {
+			t.Fatalf("negative accounting: %+v", r)
+		}
+		if r.end < start+base {
+			t.Fatalf("job of %gs started at %g ended at %g, before %g", base, start, r.end, start+base)
+		}
+		if again := spot.run(start, base, np); again != r {
+			t.Fatalf("rerun diverged:\n%+v\n%+v", r, again)
+		}
+
+		// Free checkpoints can only help: against the same outage plan, a
+		// checkpointed job finishes no later than one restarting from zero.
+		free := *spot
+		free.CheckpointBytes = 0
+		ckpted := free.run(start, base, np)
+		free.CheckpointInterval = 0
+		zero := free.run(start, base, np)
+		if ckpted.end > zero.end {
+			t.Fatalf("free checkpoints every %gs made the job later: %+v vs restart-from-zero %+v", ck, ckpted, zero)
 		}
 	})
 }

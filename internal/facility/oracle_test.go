@@ -3,18 +3,125 @@ package facility
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
-
-	"repro/internal/arrive"
 )
+
+// queueStats is the FCFS oracle's summary of one run.
+type queueStats struct {
+	Jobs        int
+	AvgWait     float64 // mean queue wait, seconds
+	MaxWait     float64
+	Makespan    float64
+	AvgSlowdown float64 // mean of (wait+run)/run
+}
+
+// interval is one scheduled execution in the oracle.
+type interval struct {
+	start, end float64
+	slots      int
+}
+
+// usageAfter returns the slots of intervals still running strictly after t.
+func usageAfter(iv []interval, t float64) int {
+	used := 0
+	for _, r := range iv {
+		if r.end > t && r.start <= t {
+			used += r.slots
+		}
+	}
+	return used
+}
+
+// fcfsOracle is an independent strict-FCFS (no backfill) list scheduler
+// over a cluster of `slots` cores: a quadratic interval walk, obviously
+// correct at small N, that the cross-validation tests hold the
+// event-driven facility to bit for bit. It reads only NP, Runtime and
+// Submit; jobs run exactly Runtime.
+func fcfsOracle(jobs []Job, slots int) (queueStats, error) {
+	ordered := append([]Job(nil), jobs...)
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Submit < ordered[j].Submit })
+
+	var hpc []interval
+	var stats queueStats
+	prevStart := 0.0 // strict FCFS: starts never go backwards
+
+	for i, j := range ordered {
+		if j.NP > slots {
+			return queueStats{}, fmt.Errorf("oracle: job %d needs %d slots, cluster has %d", i, j.NP, slots)
+		}
+		// Earliest feasible start: walk the candidate times (submit,
+		// previous start, ends of running jobs) until NP slots are free.
+		start := j.Submit
+		if prevStart > start {
+			start = prevStart
+		}
+		ends := make([]float64, 0, len(hpc))
+		for _, r := range hpc {
+			if r.end > start {
+				ends = append(ends, r.end)
+			}
+		}
+		sort.Float64s(ends)
+		for slots-usageAfter(hpc, start) < j.NP {
+			if len(ends) == 0 {
+				return queueStats{}, fmt.Errorf("oracle: scheduling inconsistency at job %d", i)
+			}
+			start = ends[0]
+			ends = ends[1:]
+		}
+		wait := start - j.Submit
+
+		hpc = append(hpc, interval{start: start, end: start + j.Runtime, slots: j.NP})
+		prevStart = start
+		stats.AvgWait += wait
+		if wait > stats.MaxWait {
+			stats.MaxWait = wait
+		}
+		stats.AvgSlowdown += (wait + j.Runtime) / j.Runtime
+		if end := start + j.Runtime; end > stats.Makespan {
+			stats.Makespan = end
+		}
+		stats.Jobs++
+	}
+	if stats.Jobs > 0 {
+		stats.AvgWait /= float64(stats.Jobs)
+		stats.AvgSlowdown /= float64(stats.Jobs)
+	}
+	return stats, nil
+}
+
+// oracleStats folds facility outcomes into queueStats in the oracle's
+// exact accumulation order — stable-sort by submit time, sum waits and
+// slowdowns in that order, divide once at the end — so a divergence
+// between the two is a scheduling difference, not a summation-order
+// artefact.
+func oracleStats(outcomes []Outcome) queueStats {
+	ordered := append([]Outcome(nil), outcomes...)
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Submit < ordered[j].Submit })
+	var stats queueStats
+	for _, o := range ordered {
+		stats.AvgWait += o.Wait
+		if o.Wait > stats.MaxWait {
+			stats.MaxWait = o.Wait
+		}
+		stats.AvgSlowdown += (o.Wait + o.Runtime) / o.Runtime
+		if o.End > stats.Makespan {
+			stats.Makespan = o.End
+		}
+		stats.Jobs++
+	}
+	if stats.Jobs > 0 {
+		stats.AvgWait /= float64(stats.Jobs)
+		stats.AvgSlowdown /= float64(stats.Jobs)
+	}
+	return stats
+}
 
 // TestOracleCrossValidation pins the facility's FCFS core to the
 // independent small-N oracle: with backfill, fairshare, broker and spot
 // all disabled, an event-driven facility run must reproduce
-// arrive.SimulateQueue's stats bit-for-bit — same floats, not just
-// close ones. OracleStats folds outcomes using the oracle's exact
-// accumulation order, so any divergence is a scheduling difference, not
-// a summation-order artefact.
+// fcfsOracle's stats bit-for-bit — same floats, not just close ones.
 func TestOracleCrossValidation(t *testing.T) {
 	const slots = 32
 	for seed := uint64(0); seed < 12; seed++ {
@@ -31,19 +138,15 @@ func TestOracleCrossValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		got := OracleStats(res.Outcomes)
+		got := oracleStats(res.Outcomes)
 
-		oj := make([]arrive.Job, len(jobs))
-		for i, j := range jobs {
-			oj[i] = arrive.Job{ID: fmt.Sprint(i), NP: j.NP, Runtime: j.Runtime, Submit: j.Submit}
-		}
-		want, err := arrive.SimulateQueue(oj, slots, arrive.BurstPolicy{})
+		want, err := fcfsOracle(jobs, slots)
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
 
-		if got.Jobs != want.Jobs || got.Burst != want.Burst {
-			t.Fatalf("seed %d: counts %d/%d vs %d/%d", seed, got.Jobs, got.Burst, want.Jobs, want.Burst)
+		if got.Jobs != want.Jobs {
+			t.Fatalf("seed %d: counts %d vs %d", seed, got.Jobs, want.Jobs)
 		}
 		bitEq := func(label string, a, b float64) {
 			if math.Float64bits(a) != math.Float64bits(b) {
@@ -55,7 +158,6 @@ func TestOracleCrossValidation(t *testing.T) {
 		bitEq("MaxWait", got.MaxWait, want.MaxWait)
 		bitEq("Makespan", got.Makespan, want.Makespan)
 		bitEq("AvgSlowdown", got.AvgSlowdown, want.AvgSlowdown)
-		bitEq("CloudSecs", got.CloudSecs, want.CloudSecs)
 	}
 }
 
@@ -80,13 +182,9 @@ func TestOracleCrossValidationSimultaneousSubmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := OracleStats(res.Outcomes)
+	got := oracleStats(res.Outcomes)
 
-	oj := make([]arrive.Job, len(jobs))
-	for i, j := range jobs {
-		oj[i] = arrive.Job{ID: fmt.Sprint(i), NP: j.NP, Runtime: j.Runtime, Submit: j.Submit}
-	}
-	want, err := arrive.SimulateQueue(oj, slots, arrive.BurstPolicy{})
+	want, err := fcfsOracle(jobs, slots)
 	if err != nil {
 		t.Fatal(err)
 	}

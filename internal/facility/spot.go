@@ -103,12 +103,25 @@ func (s *SpotConfig) run(start, base float64, np int) spotResult {
 		ckRestore = s.FS.ReadSeconds(s.CheckpointBytes, np)
 	}
 	prog := fault.Progress{Total: base}
+	// Free checkpoints (no write cost) take no wall time, so execution
+	// does not stop for them: the durable point is the last whole
+	// interval of progress (fault.Progress.Quantum), taken when an outage
+	// strikes. Only costly writes split execution, which keeps a
+	// free-checkpoint run's clock arithmetic identical to a
+	// restart-from-zero run's between outages.
+	periodic := s.CheckpointInterval > 0 && ckWrite > 0
+	if s.CheckpointInterval > 0 && !periodic {
+		prog.Quantum = s.CheckpointInterval
+	}
 	t := start
 	sinceCk := 0.0
 	for !prog.Completed() {
 		if end, out := s.outageEndAt(t); out {
 			// Capacity lost: roll back to the durable point and wait the
 			// outage out; resuming from a checkpoint pays the restore read.
+			if prog.Quantum > 0 {
+				prog.Checkpoint()
+			}
 			res.lost += prog.Interrupt()
 			res.interruptions++
 			sinceCk = 0
@@ -122,7 +135,7 @@ func (s *SpotConfig) run(start, base float64, np int) spotResult {
 		// Execute until completion, the next periodic checkpoint, or the
 		// next outage — whichever is first.
 		seg := prog.Remaining()
-		if s.CheckpointInterval > 0 {
+		if periodic {
 			if d := s.CheckpointInterval - sinceCk; d < seg {
 				seg = d
 			}
@@ -139,7 +152,7 @@ func (s *SpotConfig) run(start, base float64, np int) spotResult {
 		if prog.Completed() {
 			break
 		}
-		if s.CheckpointInterval > 0 && sinceCk >= s.CheckpointInterval {
+		if periodic && sinceCk >= s.CheckpointInterval {
 			t += ckWrite
 			res.billed += ckWrite
 			prog.Checkpoint()

@@ -7,8 +7,6 @@ import (
 	"hash"
 	"math"
 	"sort"
-
-	"repro/internal/arrive"
 )
 
 // Summary aggregates one run's outcomes into the E14 metrics.
@@ -131,34 +129,4 @@ func hashOutcome(h hash.Hash, buf *[8]byte, o Outcome) {
 	wf(o.Reserved)
 	wf(o.LostWork)
 	wf(o.Cost)
-}
-
-// OracleStats folds facility outcomes back into arrive.QueueStats using
-// the oracle's exact accumulation order — stable-sort by submit time,
-// sum waits and slowdowns in that order, divide once at the end — so the
-// cross-validation test can require bit-for-bit equality with
-// arrive.SimulateQueue (the strict-FCFS small-N oracle) on a facility
-// run with backfill, fairshare, broker and spot all disabled.
-func OracleStats(outcomes []Outcome) arrive.QueueStats {
-	ordered := append([]Outcome(nil), outcomes...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Submit < ordered[j].Submit })
-	var stats arrive.QueueStats
-	for _, o := range ordered {
-		stats.AvgWait += o.Wait
-		if o.Wait > stats.MaxWait {
-			stats.MaxWait = o.Wait
-		}
-		stats.AvgSlowdown += (o.Wait + o.Runtime) / o.Runtime
-		if o.End > stats.Makespan {
-			stats.Makespan = o.End
-		}
-		stats.Jobs++
-	}
-	if n := stats.Jobs - stats.Burst; n > 0 {
-		stats.AvgWait /= float64(n)
-	}
-	if stats.Jobs > 0 {
-		stats.AvgSlowdown /= float64(stats.Jobs)
-	}
-	return stats
 }

@@ -124,3 +124,36 @@ func minf(a, b float64) float64 {
 	}
 	return b
 }
+
+// FuzzParseParams feeds arbitrary -faults strings to the flag parser.
+// Any input may be rejected, but none may panic, and an accepted one
+// must render to a canonical form that reparses to the same rendering —
+// the property the artefact cache keys rely on.
+func FuzzParseParams(f *testing.F) {
+	for _, s := range []string{
+		"",
+		"mtbf=600,ckpt=2",
+		"mtbf=900,straggle=6,degrade=12",
+		"mtbf=600,straggle=6,slow=2.5,degrade=12,ckpt=3,seed=1",
+		"mtbf=200,ckpt=2",
+		"dlat=4,dbw=8,horizon=3600,degrade=1",
+		"mtbf=,ckpt=-1",
+		" seed = 7 , , mtbf=1e300 ",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := fault.ParseParams(s)
+		if err != nil {
+			return
+		}
+		canon := p.String()
+		q, err := fault.ParseParams(canon)
+		if err != nil {
+			t.Fatalf("%q parsed, but its canonical form %q does not: %v", s, canon, err)
+		}
+		if got := q.String(); got != canon {
+			t.Fatalf("%q: canonical form %q reparses to %q", s, canon, got)
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 )
@@ -28,6 +29,12 @@ type Run struct {
 	Timeline Timeline
 }
 
+// maxIdleRanks is how many rank timelines a trace may imply beyond its
+// event count. Timelines are dense by rank and a recorded trace gives
+// (nearly) every rank events, so a larger gap means a malformed tid, not
+// a world to allocate for.
+const maxIdleRanks = 1 << 16
+
 // ParseChromeTrace reads a Chrome trace-event JSON file (as written by
 // trace.Recorder.WriteChrome) back into analyzable timelines, one Run
 // per pid, sorted by pid. The wait-state args written by the recorder
@@ -40,9 +47,14 @@ func ParseChromeTrace(r io.Reader) ([]Run, error) {
 		return nil, fmt.Errorf("obs: parsing chrome trace: %w", err)
 	}
 	byPID := map[int]map[int][]Event{}
+	maxRank := map[int]int{}
+	events := 0
 	for _, ce := range doc.TraceEvents {
 		if ce.Ph != "X" {
 			continue
+		}
+		if ce.TID < 0 || ce.TID > math.MaxInt32 {
+			return nil, fmt.Errorf("obs: event %q: tid %d is not a rank", ce.Name, ce.TID)
 		}
 		e := Event{
 			Rank:   ce.TID,
@@ -80,16 +92,19 @@ func ParseChromeTrace(r io.Reader) ([]Run, error) {
 			byPID[ce.PID] = ranks
 		}
 		ranks[ce.TID] = append(ranks[ce.TID], e)
+		maxRank[ce.PID] = max(maxRank[ce.PID], ce.TID)
+		events++
+	}
+	slots := 0
+	for _, hi := range maxRank {
+		slots += hi + 1
+	}
+	if slots > events+maxIdleRanks {
+		return nil, fmt.Errorf("obs: trace implies %d rank timelines for %d events", slots, events)
 	}
 	runs := make([]Run, 0, len(byPID))
 	for pid, ranks := range byPID {
-		maxRank := 0
-		for r := range ranks {
-			if r > maxRank {
-				maxRank = r
-			}
-		}
-		tl := make(Timeline, maxRank+1)
+		tl := make(Timeline, maxRank[pid]+1)
 		for r, evs := range ranks {
 			tl[r] = evs
 		}

@@ -4,19 +4,15 @@
 // regenerations of bench_test.go, measured with testing.Benchmark and
 // gated by committed allocation budgets via testing.AllocsPerRun.
 //
-// `make bench` runs the full suite and refreshes BENCH_PR3.json (ns/op,
-// B/op, allocs/op, with the pre-optimisation baseline carried along as
-// "before"); `make verify` runs the cheap smoke mode, which only checks
-// the allocation budgets, so an accidental allocation regression on the
+// `make bench` runs the full suite, checks the budgets and appends one
+// environment-stamped snapshot (ns/op, B/op, allocs/op) to the bench
+// history (history.go); `make verify` runs the cheap smoke mode, which
+// only checks the budgets, so an accidental allocation regression on the
 // message hot path fails the gate before it lands.
 package perfbench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"sort"
 	"testing"
 )
 
@@ -26,34 +22,6 @@ type Stats struct {
 	NsPerOp     float64 `json:"ns_per_op"`     // wall nanoseconds per op
 	AllocsPerOp float64 `json:"allocs_per_op"` // heap allocations per op
 	BytesPerOp  float64 `json:"bytes_per_op"`  // heap bytes per op
-}
-
-// Entry is one benchmark's report line: the current measurement plus the
-// committed pre-optimisation baseline it is compared against.
-type Entry struct {
-	Name string `json:"name"`
-	// Before is the baseline measurement (the unpooled message plane),
-	// carried forward verbatim across refreshes.
-	Before *Stats `json:"before,omitempty"`
-	// After is the current measurement.
-	After *Stats `json:"after,omitempty"`
-	// AllocBudget is the committed allocs-per-run ceiling (0 = ungated).
-	AllocBudget float64 `json:"alloc_budget,omitempty"`
-	// AllocsPerRun is the testing.AllocsPerRun measurement the budget is
-	// checked against.
-	AllocsPerRun float64 `json:"allocs_per_run,omitempty"`
-	// NsBudget is the committed ns/op ceiling (0 = ungated); violations
-	// are judged with the explicit tolerance of CheckNsBudgets.
-	NsBudget float64 `json:"ns_budget,omitempty"`
-}
-
-// Report is the on-disk BENCH_*.json envelope.
-type Report struct {
-	ModelVersion string  `json:"model_version"`
-	GoVersion    string  `json:"go_version"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	Note         string  `json:"note,omitempty"`
-	Benchmarks   []Entry `json:"benchmarks"`
 }
 
 // Bench is one suite member: a single-iteration operation plus its
@@ -126,74 +94,4 @@ func CheckBudgets(benches []Bench, runs int) (map[string]float64, []BudgetViolat
 		}
 	}
 	return measured, violations
-}
-
-// NewReport assembles a report from measurements, carrying each entry's
-// baseline over from prev: an entry's Before is the previous Before when
-// set (the original unpooled baseline survives refreshes), otherwise the
-// previous After (the first refresh after a baseline-only run).
-func NewReport(modelVersion string, entries []Entry, prev *Report) *Report {
-	var base map[string]Entry
-	if prev != nil {
-		base = make(map[string]Entry, len(prev.Benchmarks))
-		for _, e := range prev.Benchmarks {
-			base[e.Name] = e
-		}
-	}
-	for i := range entries {
-		if p, ok := base[entries[i].Name]; ok {
-			switch {
-			case p.Before != nil:
-				entries[i].Before = p.Before
-			case p.After != nil:
-				entries[i].Before = p.After
-			}
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
-	return &Report{
-		ModelVersion: modelVersion,
-		GoVersion:    runtime.Version(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Benchmarks:   entries,
-	}
-}
-
-// ReadReport loads a report; a missing file returns (nil, nil) so the
-// first run needs no baseline.
-func ReadReport(path string) (*Report, error) {
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("perfbench: read %s: %w", path, err)
-	}
-	var r Report
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, fmt.Errorf("perfbench: parse %s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// WriteReport stores the report as deterministic, human-diffable JSON.
-func WriteReport(path string, r *Report) error {
-	raw, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return fmt.Errorf("perfbench: encode report: %w", err)
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-// Speedup returns the before/after ratio for the given field accessor
-// (>1 means the current code is better), or 0 when no baseline exists.
-func (e Entry) Speedup(field func(Stats) float64) float64 {
-	if e.Before == nil || e.After == nil {
-		return 0
-	}
-	a := field(*e.After)
-	if a == 0 {
-		return 0
-	}
-	return field(*e.Before) / a
 }

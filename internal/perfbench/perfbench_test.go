@@ -1,8 +1,6 @@
 package perfbench
 
 import (
-	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -30,61 +28,6 @@ func TestCheckBudgetsFlagsViolation(t *testing.T) {
 	}
 }
 
-func TestReportRoundTripAndBaselineCarry(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-
-	// A missing report is not an error: the first run has no baseline.
-	if r, err := ReadReport(path); r != nil || err != nil {
-		t.Fatalf("missing report: got (%v, %v), want (nil, nil)", r, err)
-	}
-
-	// First refresh: no prev, so entries have no Before.
-	first := NewReport("v1", []Entry{
-		{Name: "b", After: &Stats{N: 1, NsPerOp: 200}},
-		{Name: "a", After: &Stats{N: 1, NsPerOp: 100}},
-	}, nil)
-	if first.Benchmarks[0].Name != "a" || first.Benchmarks[1].Name != "b" {
-		t.Fatalf("entries not sorted by name: %+v", first.Benchmarks)
-	}
-	if err := WriteReport(path, first); err != nil {
-		t.Fatal(err)
-	}
-	prev, err := ReadReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(prev, first) {
-		t.Fatalf("round trip mismatch:\n%+v\nvs\n%+v", prev, first)
-	}
-
-	// Second refresh: the previous After becomes this run's Before.
-	second := NewReport("v1", []Entry{
-		{Name: "a", After: &Stats{N: 2, NsPerOp: 50}},
-	}, prev)
-	if second.Benchmarks[0].Before == nil || second.Benchmarks[0].Before.NsPerOp != 100 {
-		t.Fatalf("baseline not carried from previous After: %+v", second.Benchmarks[0])
-	}
-
-	// Third refresh: an existing Before survives verbatim — the original
-	// baseline is never overwritten by intermediate runs.
-	third := NewReport("v1", []Entry{
-		{Name: "a", After: &Stats{N: 3, NsPerOp: 25}},
-	}, second)
-	if third.Benchmarks[0].Before == nil || third.Benchmarks[0].Before.NsPerOp != 100 {
-		t.Fatalf("original baseline overwritten: %+v", third.Benchmarks[0])
-	}
-
-	if sp := third.Benchmarks[0].Speedup(func(s Stats) float64 { return s.NsPerOp }); sp != 4 {
-		t.Errorf("speedup = %v, want 4", sp)
-	}
-	if sp := (Entry{After: &Stats{NsPerOp: 1}}).Speedup(func(s Stats) float64 { return s.NsPerOp }); sp != 0 {
-		t.Errorf("speedup without baseline = %v, want 0", sp)
-	}
-}
-
-// TestSuiteShape pins the committed suite: every budgeted benchmark
-// carries a positive budget and names are unique (duplicate names would
-// silently collapse in the report map).
 func TestSuiteShape(t *testing.T) {
 	seen := map[string]bool{}
 	budgeted := 0
