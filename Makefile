@@ -3,7 +3,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race fmt vet lint lint-bench lint-sarif fuzz bench bench-report bench-smoke obs-smoke facility-smoke verify results clean
+.PHONY: all build test race fmt vet lint lint-bench lint-sarif fuzz bench bench-report bench-smoke facility-smoke verify results clean
 
 all: build
 
@@ -48,8 +48,8 @@ race:
 
 # Short seeded-corpus fuzz passes over the fault plane, the facility's
 # spot execution model and the parsers of outside input (manifests,
-# traces, -faults strings). Bounded by FUZZTIME so verify stays a fixed-cost gate; raise it
-# (make fuzz FUZZTIME=5m) for a real fuzzing session. The obs targets seed
+# traces, -faults strings, the bench history). Bounded by FUZZTIME so verify stays a fixed-cost gate; raise it
+# (make fuzz FUZZTIME=5m) for a real fuzzing session. The obs and perfbench targets seed
 # from whole committed files, so their minimisation is capped: shrinking a
 # kilobyte input would otherwise eat the whole budget.
 fuzz:
@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSWF -fuzztime $(FUZZTIME) ./internal/facility
 	$(GO) test -run '^$$' -fuzz FuzzDecodeManifest -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzParseChromeTrace -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzReadHistory -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/perfbench
 
 # Full microbenchmark run: measures the perfbench suite (ns/op, B/op,
 # allocs/op), checks allocation and ns/op budgets, and appends a snapshot
@@ -85,32 +86,6 @@ bench-report: build
 # message plane or the facility engine regresses past a committed budget.
 bench-smoke: build
 	$(GO) run ./cmd/bench -smoke
-
-# Observability gate: run the smoke sweep cold at -j 1 and -j 8 with
-# manifests on, validate every manifest (per-artefact and top-level)
-# with cmd/inspect, and assert the two worker counts produced
-# byte-identical artefacts AND metric snapshots — scheduling must not
-# leak into the observability plane either.
-obs-smoke: build
-	@rm -rf .obs-smoke && mkdir -p .obs-smoke/j1 .obs-smoke/j8
-	$(GO) run ./cmd/repro -sweep smoke -nocache -j 1 \
-		-out .obs-smoke/j1 -manifest .obs-smoke/j1/run.manifest.json >/dev/null
-	$(GO) run ./cmd/repro -sweep smoke -nocache -j 8 \
-		-out .obs-smoke/j8 -manifest .obs-smoke/j8/run.manifest.json >/dev/null
-	$(GO) run ./cmd/inspect manifest .obs-smoke/j1/*.manifest.json >/dev/null
-	$(GO) run ./cmd/inspect manifest .obs-smoke/j8/*.manifest.json >/dev/null
-	@for m in .obs-smoke/j1/*.manifest.json; do \
-		case $$m in */run.manifest.json) continue;; esac; \
-		cmp "$$m" ".obs-smoke/j8/$${m##*/}" \
-			|| { echo "obs-smoke: $${m##*/} differs between -j 1 and -j 8"; exit 1; }; \
-	done
-	@for f in .obs-smoke/j1/*.csv .obs-smoke/j1/*.txt; do \
-		[ -e "$$f" ] || continue; \
-		cmp "$$f" ".obs-smoke/j8/$${f##*/}" \
-			|| { echo "obs-smoke: $${f##*/} differs between -j 1 and -j 8"; exit 1; }; \
-	done
-	@rm -rf .obs-smoke
-	@echo "obs-smoke: manifests valid and deterministic across -j 1 / -j 8"
 
 # Batch-facility gate: a small seeded facility run (broker + spot, all
 # scheduler features on) executed twice; the runs must print byte-identical
@@ -134,11 +109,13 @@ facility-smoke: build
 
 # The full local gate: static analysis (format, vet, reprolint), build,
 # tests, race tests, a short fuzz pass, the allocation/ns-budget smoke,
-# the bench-history trend gate, the lint-latency budget, the
-# observability smoke and the batch-facility smoke. Mirrors what CI runs (.github/workflows/ci.yml). lint-bench
-# runs after bench-report so the trend gate judges the committed
-# history, not the point lint-bench just appended.
-verify: lint build test race fuzz bench-smoke bench-report lint-bench obs-smoke facility-smoke
+# the bench-history trend gate, the lint-latency budget and the
+# batch-facility smoke. Mirrors what CI runs (.github/workflows/ci.yml).
+# lint-bench runs after bench-report so the trend gate judges the
+# committed history, not the point lint-bench just appended. The smoke
+# sweep's manifests and -j determinism are Go tests (TestReproSmokeManifest,
+# TestArtefactManifests, TestGoldenDeterminismSmoke), run by `test`.
+verify: lint build test race fuzz bench-smoke bench-report lint-bench facility-smoke
 	@echo "verify: all gates passed"
 
 # Regenerate the committed seed artefacts (full sweep, seed 0).
@@ -146,4 +123,4 @@ results: build
 	$(GO) run ./cmd/repro -out results -j 4
 
 clean:
-	rm -rf results/.cache .obs-smoke
+	rm -rf results/.cache

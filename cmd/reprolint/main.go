@@ -50,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "describe the analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer subset (default: all)")
-	allow := fs.String("allow", "", "extra detwall allowlist file (pkgpath funcname # reason)")
 	printFlags := fs.Bool("flags", false, "print flag metadata (vettool protocol)")
 	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON (unitchecker shape under vet, a flat array standalone)")
 	sarifOut := fs.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log (standalone mode)")
@@ -71,17 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "reprolint:", err)
 		return 2
-	}
-	if *allow != "" {
-		content, err := os.ReadFile(*allow)
-		if err != nil {
-			fmt.Fprintln(stderr, "reprolint:", err)
-			return 2
-		}
-		if err := analysis.AddDetwallAllowlist(string(content)); err != nil {
-			fmt.Fprintln(stderr, "reprolint:", err)
-			return 2
-		}
 	}
 
 	// A single non-flag argument ending in .cfg is the unitchecker

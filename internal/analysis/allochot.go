@@ -1,26 +1,20 @@
 package analysis
 
 import (
+	"bufio"
 	_ "embed"
+	"fmt"
 	"go/ast"
 	"go/types"
 	"sort"
 	"strings"
 )
 
-// HotMarker is the doc-comment marker that opts a function into
-// allochot's no-allocation contract in addition to the embedded
-// hot-list:
-//
-//	//reprolint:hot
-//	func (q *Queue) Push(e Event) { ... }
-const HotMarker = "//reprolint:hot"
-
 // allochotHotDefault ships the repository's hot-list: the per-message,
 // per-event and per-job functions whose allocation behaviour the
 // perfbench budgets (mpi/world-churn-64, facility/run-10k, run-100k)
 // gate at runtime. Format: one "pkgpath funcname  # why it is hot" per
-// line, the same grammar as detwall_allow.txt.
+// line; methods are named "Type.funcname".
 //
 //go:embed allochot_hot.txt
 var allochotHotDefault string
@@ -28,6 +22,34 @@ var allochotHotDefault string
 // allochotHot maps canonical function keys to the reason the function
 // is on the hot path.
 var allochotHot = mustParseAllowlist(allochotHotDefault)
+
+func mustParseAllowlist(content string) map[string]string {
+	m, err := parseAllowlist(content)
+	if err != nil {
+		panic("analysis: embedded allochot_hot.txt: " + err.Error())
+	}
+	return m
+}
+
+// parseAllowlist reads the "pkgpath funcname  # reason" grammar into a
+// map from canonical function key to reason.
+func parseAllowlist(content string) (map[string]string, error) {
+	m := map[string]string{}
+	sc := bufio.NewScanner(strings.NewReader(content))
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		entry, reason, _ := strings.Cut(line, "#")
+		fields := strings.Fields(entry)
+		if len(fields) != 2 {
+			return nil, fmt.Errorf("hot-list line %q: want \"pkgpath funcname  # reason\"", line)
+		}
+		m[fields[0]+"."+fields[1]] = strings.TrimSpace(reason)
+	}
+	return m, sc.Err()
+}
 
 // HotlistKeys returns the embedded hot-list's canonical function keys
 // in sorted order. The self-check test resolves each against the
@@ -43,35 +65,22 @@ func HotlistKeys() []string {
 }
 
 // Allochot proves the hot paths allocation-free at compile time: inside
-// every function carrying the //reprolint:hot marker or listed in the
-// embedded hot-list, it reports each potential allocation site (append
-// growth, make/new, closure captures, interface boxing, string concat,
-// slice/map literals, calls assumed to allocate) and each call into a
-// module function whose interprocedural fact says it transitively
-// allocates. Audited amortised allocations (pooled slab growth, cap-
-// guarded doubling) are silenced with a reasoned
-// //lint:allow reprolint/allochot comment, which also clears the
-// callee's Allocates fact so the allowance composes up the call graph.
+// every function listed in the embedded hot-list, it reports each
+// potential allocation site (append growth, make/new, closure captures,
+// interface boxing, string concat, slice/map literals, calls assumed to
+// allocate) and each call into a module function whose interprocedural
+// fact says it transitively allocates. Audited amortised allocations
+// (pooled slab growth, cap-guarded doubling) are silenced with a
+// reasoned //lint:allow reprolint/allochot comment, which also clears
+// the callee's Allocates fact so the allowance composes up the call
+// graph.
 var Allochot = &Analyzer{
 	Name: "allochot",
-	Doc: "forbid allocation in //reprolint:hot functions and the embedded " +
-		"hot-list (mpi send/recv/inbox, pdes queue, facility heap " +
-		"scheduler); escape hatch: //lint:allow reprolint/allochot <reason>",
+	Doc: "forbid allocation in the functions of the embedded hot-list " +
+		"(mpi send/recv/inbox, pdes queue, facility heap scheduler); " +
+		"escape hatch: //lint:allow reprolint/allochot <reason>",
 	NeedsFacts: true,
 	Run:        runAllochot,
-}
-
-// hasHotMarker reports whether a declaration's doc comment opts it in.
-func hasHotMarker(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.HasPrefix(strings.TrimSpace(c.Text), HotMarker) {
-			return true
-		}
-	}
-	return false
 }
 
 // passDeclKey is DeclKey over a Pass (the analyzer-side view of a
@@ -89,7 +98,7 @@ func runAllochot(pass *Pass) error {
 				continue
 			}
 			key := passDeclKey(pass, fd)
-			if _, listed := allochotHot[key]; !listed && !hasHotMarker(fd) {
+			if _, listed := allochotHot[key]; !listed {
 				continue
 			}
 			name := fd.Name.Name
@@ -110,9 +119,8 @@ func runAllochot(pass *Pass) error {
 					if !ff.Allocates {
 						return
 					}
-					chain := pass.Facts.WhyChain(ckey, func(f FuncFacts) string { return f.AllocWhy })
 					pass.Reportf(call.Pos(),
-						"hot function %s calls allocating function (%s)", name, chain)
+						"hot function %s calls allocating function (%s)", name, pass.Facts.AllocChain(ckey))
 				},
 			}
 			w.walk(fd.Body)

@@ -1,14 +1,27 @@
 package analysis
 
-import "testing"
+import (
+	"maps"
+	"testing"
+)
 
 // TestAllochotHotPaths drives the full allocation catalogue through the
 // fixture: direct sites (append, make, literals, concat, closures,
 // boxing, dynamic dispatch, go statements), cross-package transitive
 // facts, allow composition at the leaf and at the site, and the
-// panic-argument cold path.
+// panic-argument cold path. The fixture's mpi functions join the
+// hot-list for the test's duration; SendCold stays off it.
 func TestAllochotHotPaths(t *testing.T) {
-	RunFixture(t, Allochot, "testdata/src/allochot", "repro/internal/mpi")
+	saved := maps.Clone(allochotHot)
+	t.Cleanup(func() { allochotHot = saved })
+	for _, m := range []string{
+		"SendAppend", "SendMake", "SendLiteral", "SendConcat", "SendClosure",
+		"SendIndirect", "SendIface", "SendBoxed", "SendTransitive", "SendPooled",
+		"SendLen", "SendAllowed", "SendPanicGuard", "SendSpawn",
+	} {
+		allochotHot["repro/internal/mpi.Comm."+m] = "fixture hot function"
+	}
+	RunFixture(t, "testdata/src/allochot", "repro/internal/mpi", Allochot)
 }
 
 // TestAllochotHotlistResolves pins the embedded hot-list to reality:

@@ -1,8 +1,9 @@
 // Package analysis is the repository's static-analysis plane: a small,
 // stdlib-only reimplementation of the golang.org/x/tools/go/analysis
-// analyzer shape plus the six reprolint analyzers that prove the
-// determinism, MPI-hygiene and metrics-stability invariants the golden
-// tests otherwise only catch after a violation ships.
+// analyzer shape plus the eight reprolint analyzers that prove the
+// determinism, MPI-hygiene, metrics-stability, hot-path allocation and
+// lock-hygiene invariants the golden tests otherwise only catch after a
+// violation ships.
 //
 // The build environment is hermetic (no module proxy), so the framework
 // deliberately depends on nothing outside the standard library: packages
@@ -148,7 +149,7 @@ func RunWithFacts(analyzers []*Analyzer, pkgs []*Package, imported *Facts) ([]Di
 type suppression struct {
 	file     string
 	line     int
-	analyzer string // "" allows every analyzer on the line
+	analyzer string
 }
 
 // AllowPrefix is the comment marker that silences one finding:
@@ -226,7 +227,6 @@ func All() []*Analyzer {
 		Obsstable,
 		Errcheck,
 		Allochot,
-		Detflow,
 		Lockhyg,
 	}
 }

@@ -26,22 +26,22 @@ type TB interface {
 var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
 // RunFixture type-checks the fixture package at importPath under srcRoot
-// (a GOPATH-shaped tree: srcRoot/<importPath>/*.go), runs the analyzer
+// (a GOPATH-shaped tree: srcRoot/<importPath>/*.go), runs the analyzers
 // over it and its module-local fixture dependencies (so interprocedural
 // facts cross the package boundary exactly as in the real module), and
 // compares the diagnostics against the `// want "re"` comments in every
 // loaded fixture file: each diagnostic must be expected on its line, and
 // each expectation must be matched exactly once.
-func RunFixture(t TB, a *Analyzer, srcRoot, importPath string) {
+func RunFixture(t TB, srcRoot, importPath string, analyzers ...*Analyzer) {
 	t.Helper()
 	l := NewFixtureLoader(srcRoot)
 	if _, err := l.Load(importPath); err != nil {
 		t.Fatalf("loading fixture %s: %v", importPath, err)
 	}
 	pkgs := l.Loaded()
-	diags, err := Run([]*Analyzer{a}, pkgs)
+	diags, err := Run(analyzers, pkgs)
 	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, importPath, err)
+		t.Fatalf("running analyzers on %s: %v", importPath, err)
 	}
 
 	type key struct {

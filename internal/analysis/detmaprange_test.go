@@ -3,9 +3,9 @@ package analysis
 import "testing"
 
 func TestDetmaprangeOrderObservability(t *testing.T) {
-	RunFixture(t, Detmaprange, "testdata/src/detmaprange", "repro/internal/report")
+	RunFixture(t, "testdata/src/detmaprange", "repro/internal/report", Detmaprange)
 }
 
 func TestDetmaprangeBatchFacility(t *testing.T) {
-	RunFixture(t, Detmaprange, "testdata/src/detmaprange", "repro/internal/facility")
+	RunFixture(t, "testdata/src/detmaprange", "repro/internal/facility", Detmaprange)
 }

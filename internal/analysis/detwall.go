@@ -1,9 +1,6 @@
 package analysis
 
 import (
-	"bufio"
-	_ "embed"
-	"fmt"
 	"go/ast"
 	"strings"
 )
@@ -23,77 +20,26 @@ var detwallForbidden = map[string]bool{
 	"Sleep":     true,
 }
 
-// detwallAllowDefault ships the repository's standing exemptions: the
-// scheduler's wall-latency series (registered volatile, excluded from
-// stable snapshots) are the only model-adjacent code allowed to read the
-// host clock. Format: one "pkgpath funcname  # reason" per line.
-//
-//go:embed detwall_allow.txt
-var detwallAllowDefault string
-
-// detwallAllow maps "pkgpath.funcname" to the allowing reason. Tests and
-// cmd/reprolint -allow may extend it via AddDetwallAllowlist.
-var detwallAllow = mustParseAllowlist(detwallAllowDefault)
-
-// AddDetwallAllowlist merges extra allowlist entries (same format as the
-// embedded file) into the detwall exemption table.
-func AddDetwallAllowlist(content string) error {
-	m, err := parseAllowlist(content)
-	if err != nil {
-		return err
-	}
-	for k, v := range m {
-		detwallAllow[k] = v
-	}
-	return nil
-}
-
-func mustParseAllowlist(content string) map[string]string {
-	m, err := parseAllowlist(content)
-	if err != nil {
-		panic("analysis: embedded detwall_allow.txt: " + err.Error())
-	}
-	return m
-}
-
-func parseAllowlist(content string) (map[string]string, error) {
-	m := map[string]string{}
-	sc := bufio.NewScanner(strings.NewReader(content))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		entry, reason, _ := strings.Cut(line, "#")
-		fields := strings.Fields(entry)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("allowlist line %q: want \"pkgpath funcname  # reason\"", line)
-		}
-		m[fields[0]+"."+fields[1]] = strings.TrimSpace(reason)
-	}
-	return m, sc.Err()
-}
-
 // Detwall forbids wall-clock sources in the virtual-time model packages.
 // Every duration a model reports must derive from the simulated clock
 // (mpi.Comm.Clock, sim.Meter) so artefacts regenerate byte-identically
 // regardless of host speed or scheduling; wall-time readings belong in
-// cmd/* manifests (recorded as volatile) or in allowlisted scheduler
-// latency series.
+// cmd/* manifests (recorded as volatile) or in volatile scheduler
+// latency series, each read audited in place with an allow comment.
+//
+// Every in-module package that is not a main package lives under
+// internal/ (selfcheck pins this), so scoping detwall to internal/*
+// covers every clock read an artefact writer can reach.
 var Detwall = &Analyzer{
 	Name: "detwall",
 	Doc: "forbid time.Now/Since/After/... in virtual-time packages " +
-		"(internal/*); exemptions come from detwall_allow.txt or " +
-		"//lint:allow reprolint/detwall comments",
+		"(internal/*); exemptions only via //lint:allow reprolint/detwall comments",
 	Run: runDetwall,
 }
 
 func runDetwall(pass *Pass) error {
 	if !strings.HasPrefix(pass.Pkg.Path(), ModulePath+"/internal/") {
 		return nil
-	}
-	if pass.Pkg.Path() == ModulePath+"/internal/analysis" {
-		return nil // the lint plane itself models nothing
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -108,14 +54,11 @@ func runDetwall(pass *Pass) error {
 			if !detwallForbidden[fn.Name()] {
 				return true
 			}
-			key := pass.Pkg.Path() + "." + funcNameAt(f, call)
-			if _, ok := detwallAllow[key]; ok {
-				return true
-			}
 			pass.Reportf(call.Pos(),
 				"time.%s reads the wall clock in virtual-time package %s; "+
-					"derive durations from the simulated clock, or allowlist %s",
-				fn.Name(), pass.Pkg.Path(), key)
+					"derive durations from the simulated clock, or audit the read "+
+					"with //lint:allow reprolint/detwall <reason>",
+				fn.Name(), pass.Pkg.Path())
 			return true
 		})
 	}

@@ -3,5 +3,5 @@ package analysis
 import "testing"
 
 func TestErrcheckCompletionCalls(t *testing.T) {
-	RunFixture(t, Errcheck, "testdata/src/errcheck", "repro/cmd/tool")
+	RunFixture(t, "testdata/src/errcheck", "repro/cmd/tool", Errcheck)
 }

@@ -16,18 +16,12 @@ import (
 // way golang.org/x/tools analyzer facts do: a deterministic bottom-up
 // walk of the module call graph (condensed into strongly connected
 // components so recursion converges in one pass) decides, for every
-// function, whether it
-//
-//   - transitively allocates (Allocates),
-//   - transitively reads the host wall clock (ReadsClock),
-//   - transitively draws from the runtime-seeded global math/rand
-//     source (GlobalRand), or
-//   - may spawn a goroutine (Spawns),
-//
-// and the analyzers built on top (allochot, detflow) consume those
-// summaries instead of re-deriving them per call site. The walk is
-// order-invariant: nodes, edges and SCC members are processed in sorted
-// key order, so the same module produces bit-identical facts no matter
+// function, whether it transitively allocates (Allocates), and allochot
+// consumes that summary instead of re-deriving it per call site. The
+// wall-clock and global-rand sources need no summary: detwall and
+// detrand report each one at its call, in every package an artefact
+// writer can reach. The walk is order-invariant: nodes, edges and SCC
+// members are processed in sorted key order, so the same module produces bit-identical facts no matter
 // what order its packages were loaded in (a testing/quick property pins
 // this down).
 //
@@ -39,22 +33,13 @@ import (
 // per-package result is exported for the packages that import it — the
 // same shape x/tools uses, minus the gob encoding.
 
-// FuncFacts is the interprocedural summary of one function. The *Why
-// fields carry a one-hop witness: either a concrete source description
-// ("append grows ... at file:line") or "calls <key>", which WhyChain
+// FuncFacts is the interprocedural summary of one function. AllocWhy
+// carries a one-hop witness: either a concrete source description
+// ("append grows ... at file:line") or "calls <key>", which AllocChain
 // follows to reconstruct the full call path for diagnostics.
 type FuncFacts struct {
 	Allocates bool   `json:"allocates,omitempty"`
 	AllocWhy  string `json:"alloc_why,omitempty"`
-
-	ReadsClock bool   `json:"reads_clock,omitempty"`
-	ClockWhy   string `json:"clock_why,omitempty"`
-
-	GlobalRand bool   `json:"global_rand,omitempty"`
-	RandWhy    string `json:"rand_why,omitempty"`
-
-	Spawns   bool   `json:"spawns,omitempty"`
-	SpawnWhy string `json:"spawn_why,omitempty"`
 }
 
 // Facts maps canonical function keys (FuncKey) to their computed
@@ -66,7 +51,8 @@ type Facts struct {
 // Of returns the facts for a canonical function key. Unknown keys —
 // functions outside the analyzed set — return the zero summary, which
 // callers must treat as "nothing proven", not "proven clean";
-// classifyCall is the place that decides what unknown callees mean.
+// allocWalker.walkCall is the place that decides what unknown callees
+// mean.
 func (f *Facts) Of(key string) FuncFacts {
 	if f == nil || f.m == nil {
 		return FuncFacts{}
@@ -132,8 +118,7 @@ func (f *Facts) Merge(other *Facts) {
 
 // FuncKey renders a function object's canonical key: "pkgpath.Name" for
 // package functions, "pkgpath.Type.Name" for methods (pointer receivers
-// drop the star) — the same naming the detwall allowlist already uses,
-// so one grammar covers both tables.
+// drop the star) — the naming allochot_hot.txt uses.
 func FuncKey(fn *types.Func) string {
 	if fn == nil || fn.Pkg() == nil {
 		return ""
@@ -158,7 +143,6 @@ func DeclKey(pkg *Package, fd *ast.FuncDecl) string {
 // funcNode is one call-graph node under construction: a declared
 // function body plus everything the direct-effects scan found in it.
 type funcNode struct {
-	key   string
 	fd    *ast.FuncDecl
 	pkg   *Package
 	calls []string // canonical keys of module-local callees (sorted, deduped)
@@ -186,7 +170,7 @@ func ComputeFacts(pkgs []*Package, imported *Facts) *Facts {
 				if key == "" {
 					continue
 				}
-				n := &funcNode{key: key, fd: fd, pkg: pkg}
+				n := &funcNode{fd: fd, pkg: pkg}
 				scanDirectEffects(n, sup)
 				nodes[key] = n
 			}
@@ -204,10 +188,9 @@ func ComputeFacts(pkgs []*Package, imported *Facts) *Facts {
 
 	// Tarjan's SCC over the local nodes. Cross-package edges into
 	// already-summarized dependencies are not graph edges — their facts
-	// were folded into the node during scanning (classifyCall) or are
-	// resolved below from `out`. SCCs pop in reverse topological order
-	// (callees before callers), which is exactly the bottom-up order the
-	// fixed point needs: by the time an SCC is condensed, every callee
+	// are resolved below from `out`. SCCs pop in reverse topological
+	// order (callees before callers), which is exactly the bottom-up
+	// order the fixed point needs: by the time an SCC is condensed, every callee
 	// outside it already has final facts.
 	t := &tarjan{
 		nodes: nodes,
@@ -225,14 +208,18 @@ func ComputeFacts(pkgs []*Package, imported *Facts) *Facts {
 		sort.Strings(scc)
 		// Union the members' direct facts, then fold in callee facts
 		// from outside the SCC. Within the SCC every member reaches
-		// every other, so the union applies to all of them.
+		// every other, so the union applies to all of them. The first
+		// witness found in sorted order wins, so chains are
+		// deterministic.
 		var u FuncFacts
 		inSCC := map[string]bool{}
 		for _, k := range scc {
 			inSCC[k] = true
 		}
 		for _, k := range scc {
-			mergeFacts(&u, nodes[k].facts)
+			if f := nodes[k].facts; f.Allocates && !u.Allocates {
+				u = f
+			}
 			for _, callee := range nodes[k].calls {
 				if inSCC[callee] {
 					continue
@@ -247,8 +234,9 @@ func ComputeFacts(pkgs []*Package, imported *Facts) *Facts {
 					// degrade soundly rather than panic.
 					cf = cn.facts
 				}
-				via := "calls " + callee
-				mergeFacts(&u, liftCallee(cf, via))
+				if cf.Allocates && !u.Allocates {
+					u.Allocates, u.AllocWhy = true, "calls "+callee
+				}
 			}
 		}
 		for _, k := range scc {
@@ -259,53 +247,17 @@ func ComputeFacts(pkgs []*Package, imported *Facts) *Facts {
 	return out
 }
 
-// liftCallee converts a callee's facts into the caller's view: the
-// bits survive, the witness becomes the call edge.
-func liftCallee(cf FuncFacts, via string) FuncFacts {
-	var out FuncFacts
-	if cf.Allocates {
-		out.Allocates, out.AllocWhy = true, via
-	}
-	if cf.ReadsClock {
-		out.ReadsClock, out.ClockWhy = true, via
-	}
-	if cf.GlobalRand {
-		out.GlobalRand, out.RandWhy = true, via
-	}
-	if cf.Spawns {
-		out.Spawns, out.SpawnWhy = true, via
-	}
-	return out
-}
-
-// mergeFacts ORs src into dst, keeping dst's earlier witnesses (the
-// first-found witness in sorted order, so chains are deterministic).
-func mergeFacts(dst *FuncFacts, src FuncFacts) {
-	if src.Allocates && !dst.Allocates {
-		dst.Allocates, dst.AllocWhy = true, src.AllocWhy
-	}
-	if src.ReadsClock && !dst.ReadsClock {
-		dst.ReadsClock, dst.ClockWhy = true, src.ClockWhy
-	}
-	if src.GlobalRand && !dst.GlobalRand {
-		dst.GlobalRand, dst.RandWhy = true, src.RandWhy
-	}
-	if src.Spawns && !dst.Spawns {
-		dst.Spawns, dst.SpawnWhy = true, src.SpawnWhy
-	}
-}
-
-// WhyChain reconstructs the witness path behind one fact bit: starting
-// from key, it follows "calls <next>" links through the fact table and
-// returns the hops joined with " -> ", ending at the concrete source
-// description. pick selects which fact's witness to follow.
-func (f *Facts) WhyChain(key string, pick func(FuncFacts) string) string {
+// AllocChain reconstructs the witness path behind an Allocates fact:
+// starting from key, it follows "calls <next>" links through the fact
+// table and returns the hops joined with " -> ", ending at the concrete
+// allocation site.
+func (f *Facts) AllocChain(key string) string {
 	var hops []string
 	seen := map[string]bool{}
 	for key != "" && !seen[key] {
 		seen[key] = true
 		hops = append(hops, key)
-		why := pick(f.Of(key))
+		why := f.Of(key).AllocWhy
 		next, ok := strings.CutPrefix(why, "calls ")
 		if !ok {
 			if why != "" {
@@ -407,35 +359,6 @@ var nonAllocPkgs = map[string]bool{
 	"sync/atomic": true,
 }
 
-// clockSourceCalls are the wall-clock sources (shared with detwall).
-func isClockSource(fn *types.Func) bool {
-	return fn.Pkg() != nil && fn.Pkg().Path() == "time" && detwallForbidden[fn.Name()]
-}
-
-// isGlobalRand reports whether fn is a package-level math/rand function
-// (the runtime-seeded shared source).
-func isGlobalRand(fn *types.Func) bool {
-	if fn.Pkg() == nil {
-		return false
-	}
-	switch fn.Pkg().Path() {
-	case "math/rand", "math/rand/v2":
-	default:
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil {
-		return false
-	}
-	switch fn.Name() {
-	case "New", "NewSource", "NewPCG", "NewChaCha8":
-		// Constructors are the *seeded* escape hatch; detrand audits
-		// their seed expressions separately.
-		return false
-	}
-	return true
-}
-
 // stdlibCallKey renders an out-of-module callee as "pkg.Name" /
 // "pkg.Type.Name" for the nonAlloc tables.
 func stdlibCallKey(fn *types.Func) string {
@@ -454,21 +377,16 @@ func stdlibCallKey(fn *types.Func) string {
 // and module-local call edges. Allocation sites whose line carries an
 // allochot suppression are treated as audited-amortised and do not set
 // the Allocates bit (the allow reason is the proof the budget gate
-// leans on); clock sources under a detwall/detflow allow or in the
-// embedded detwall allowlist likewise do not taint the clock fact.
+// leans on).
 func scanDirectEffects(n *funcNode, sup map[suppression]bool) {
 	pass := n.pkg
-	allowed := func(node ast.Node, analyzer string) bool {
-		p := pass.Fset.Position(node.Pos())
-		return sup[suppression{file: p.Filename, line: p.Line, analyzer: analyzer}]
-	}
-	at := func(node ast.Node) string { return shortAt(pass.Fset, node) }
 	setAlloc := func(node ast.Node, why string) {
-		if n.facts.Allocates || allowed(node, Allochot.Name) {
+		p := pass.Fset.Position(node.Pos())
+		if n.facts.Allocates || sup[suppression{file: p.Filename, line: p.Line, analyzer: Allochot.Name}] {
 			return
 		}
 		n.facts.Allocates = true
-		n.facts.AllocWhy = why + " at " + at(node)
+		n.facts.AllocWhy = why + " at " + shortAt(pass.Fset, node)
 	}
 	calls := map[string]bool{}
 
@@ -477,27 +395,8 @@ func scanDirectEffects(n *funcNode, sup map[suppression]bool) {
 		info:  pass.Info,
 		tpkg:  pass.Types,
 		alloc: setAlloc,
-		spawn: func(g *ast.GoStmt) {
-			if !n.facts.Spawns {
-				n.facts.Spawns = true
-				n.facts.SpawnWhy = "go statement at " + at(g)
-			}
-		},
 		localCall: func(call *ast.CallExpr, fn *types.Func, key string) {
 			calls[key] = true
-		},
-		source: func(call *ast.CallExpr, fn *types.Func) {
-			if isClockSource(fn) && !n.facts.ReadsClock &&
-				!allowed(call, Detflow.Name) && !allowed(call, Detwall.Name) {
-				if _, exempt := detwallAllow[n.key]; !exempt {
-					n.facts.ReadsClock = true
-					n.facts.ClockWhy = "time." + fn.Name() + " at " + at(call)
-				}
-			}
-			if isGlobalRand(fn) && !n.facts.GlobalRand {
-				n.facts.GlobalRand = true
-				n.facts.RandWhy = fn.Pkg().Path() + "." + fn.Name() + " at " + at(call)
-			}
 		},
 	}
 	w.walk(n.fd.Body)
@@ -509,8 +408,8 @@ func scanDirectEffects(n *funcNode, sup map[suppression]bool) {
 	sort.Strings(n.calls)
 }
 
-// allocWalker enumerates the potential allocation sites, call edges and
-// nondeterminism sources of one function body. It is shared by the
+// allocWalker enumerates the potential allocation sites and call edges
+// of one function body. It is shared by the
 // facts engine (which folds sites into a per-function summary) and by
 // allochot (which reports every site inside a hot function).
 type allocWalker struct {
@@ -522,20 +421,12 @@ type allocWalker struct {
 	alloc func(node ast.Node, why string)
 	// localCall receives every resolved module-local callee.
 	localCall func(call *ast.CallExpr, fn *types.Func, key string)
-	// source receives every resolved callee (the clock/rand hook);
-	// may be nil.
-	source func(call *ast.CallExpr, fn *types.Func)
-	// spawn receives go statements; may be nil.
-	spawn func(g *ast.GoStmt)
 }
 
 func (w *allocWalker) walk(body *ast.BlockStmt) {
 	ast.Inspect(body, func(node ast.Node) bool {
 		switch v := node.(type) {
 		case *ast.GoStmt:
-			if w.spawn != nil {
-				w.spawn(v)
-			}
 			w.alloc(v, "go statement allocates a goroutine")
 		case *ast.FuncLit:
 			if capturesOuter(w.info, w.tpkg, v) {
@@ -618,10 +509,6 @@ func (w *allocWalker) walkCall(call *ast.CallExpr) {
 		if arg, param := boxedArg(w.info, call, sig); arg != nil {
 			w.alloc(arg, "argument boxed into interface parameter "+param)
 		}
-	}
-
-	if w.source != nil {
-		w.source(call, fn)
 	}
 
 	if fn.Pkg() != nil && InModule(fn.Pkg().Path()) {

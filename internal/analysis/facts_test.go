@@ -30,77 +30,50 @@ func factsOnly(pkgs []*Package, path string) []*Package {
 }
 
 // TestFactsCrossPackage asserts the summaries and their witnesses for
-// every fixture function: direct effects at the leaf, lifted effects
-// one and two hops up, and clean functions staying clean.
+// every fixture function: direct allocations of each shape at the leaf,
+// lifted facts one and two hops up, and clean functions staying clean.
 func TestFactsCrossPackage(t *testing.T) {
 	facts := ComputeFacts(loadFactsFixture(t), nil)
 
-	ff := facts.Of("repro/internal/leaf.Alloc")
-	if !ff.Allocates || ff.AllocWhy != "make allocates at leaf.go:8" {
-		t.Errorf("leaf.Alloc = %+v, want direct make witness", ff)
+	for key, want := range map[string]string{
+		"repro/internal/leaf.Alloc":  "make allocates at leaf.go:7",
+		"repro/internal/leaf.Concat": "string concatenation builds a new string at leaf.go:10",
+		"repro/internal/leaf.Spawn":  "go statement allocates a goroutine at leaf.go:14",
+		"repro/internal/mid.Wrap":    "calls repro/internal/leaf.Alloc",
+		"repro/internal/mid.Join":    "calls repro/internal/leaf.Concat",
+		"repro/internal/mid.Burst":   "calls repro/internal/leaf.Spawn",
+	} {
+		if ff := facts.Of(key); !ff.Allocates || ff.AllocWhy != want {
+			t.Errorf("%s = %+v, want Allocates witnessed by %q", key, ff, want)
+		}
 	}
-	if ff.ReadsClock || ff.GlobalRand || ff.Spawns {
-		t.Errorf("leaf.Alloc carries spurious facts: %+v", ff)
-	}
-
-	ff = facts.Of("repro/internal/leaf.Now")
-	if !ff.ReadsClock || ff.ClockWhy != "time.Now at leaf.go:11" {
-		t.Errorf("leaf.Now = %+v, want clock witness", ff)
-	}
-
-	ff = facts.Of("repro/internal/leaf.Spawn")
-	if !ff.Spawns || ff.SpawnWhy != "go statement at leaf.go:15" {
-		t.Errorf("leaf.Spawn = %+v, want spawn witness", ff)
-	}
-	if !ff.Allocates {
-		t.Errorf("leaf.Spawn should allocate (goroutine): %+v", ff)
-	}
-
-	ff = facts.Of("repro/internal/leaf.Clean")
-	if ff.Allocates || ff.ReadsClock || ff.GlobalRand || ff.Spawns {
-		t.Errorf("leaf.Clean should be effect-free: %+v", ff)
-	}
-
-	ff = facts.Of("repro/internal/mid.Wrap")
-	if !ff.Allocates || ff.AllocWhy != "calls repro/internal/leaf.Alloc" {
-		t.Errorf("mid.Wrap = %+v, want lifted alloc via leaf.Alloc", ff)
-	}
-
-	ff = facts.Of("repro/internal/mid.Clock")
-	if !ff.ReadsClock || ff.ClockWhy != "calls repro/internal/leaf.Now" {
-		t.Errorf("mid.Clock = %+v, want lifted clock via leaf.Now", ff)
-	}
-
-	ff = facts.Of("repro/internal/mid.Burst")
-	if !ff.Spawns || ff.SpawnWhy != "calls repro/internal/leaf.Spawn" {
-		t.Errorf("mid.Burst = %+v, want lifted spawn via leaf.Spawn", ff)
-	}
-
-	ff = facts.Of("repro/internal/mid.Calm")
-	if ff.Allocates || ff.ReadsClock || ff.GlobalRand || ff.Spawns {
-		t.Errorf("mid.Calm should be effect-free: %+v", ff)
+	for _, key := range []string{"repro/internal/leaf.Clean", "repro/internal/mid.Calm"} {
+		if ff := facts.Of(key); ff.Allocates {
+			t.Errorf("%s should be allocation-free: %+v", key, ff)
+		}
 	}
 
 	const wantChain = "repro/internal/mid.Deep -> repro/internal/mid.Wrap -> " +
-		"repro/internal/leaf.Alloc -> make allocates at leaf.go:8"
-	chain := facts.WhyChain("repro/internal/mid.Deep", func(f FuncFacts) string { return f.AllocWhy })
-	if chain != wantChain {
-		t.Errorf("WhyChain(mid.Deep) = %q, want %q", chain, wantChain)
+		"repro/internal/leaf.Alloc -> make allocates at leaf.go:7"
+	if chain := facts.AllocChain("repro/internal/mid.Deep"); chain != wantChain {
+		t.Errorf("AllocChain(mid.Deep) = %q, want %q", chain, wantChain)
 	}
 }
 
 // TestFactsSCCRecursion asserts the SCC condensation: the Even/Odd
-// cycle unions Odd's allocation into both members, and the effect-free
-// self-recursive Count converges without inventing facts.
+// cycle unions Odd's allocation (witness included) into both members,
+// and the
+// allocation-free self-recursive Count converges without inventing
+// facts.
 func TestFactsSCCRecursion(t *testing.T) {
 	facts := ComputeFacts(loadFactsFixture(t), nil)
 	for _, key := range []string{"repro/internal/leaf.Even", "repro/internal/leaf.Odd"} {
-		if ff := facts.Of(key); !ff.Allocates {
-			t.Errorf("%s = %+v, want Allocates via the SCC union", key, ff)
+		if ff := facts.Of(key); !ff.Allocates || ff.AllocWhy != "make allocates at leaf.go:31" {
+			t.Errorf("%s = %+v, want Odd's make as the SCC's shared witness", key, ff)
 		}
 	}
-	if ff := facts.Of("repro/internal/leaf.Count"); ff.Allocates || ff.ReadsClock || ff.GlobalRand || ff.Spawns {
-		t.Errorf("leaf.Count (self-recursive, effect-free) = %+v, want no facts", ff)
+	if ff := facts.Of("repro/internal/leaf.Count"); ff.Allocates {
+		t.Errorf("leaf.Count (self-recursive, allocation-free) = %+v, want no facts", ff)
 	}
 }
 
@@ -122,11 +95,17 @@ func TestFactsImportedSeed(t *testing.T) {
 	}
 
 	midFacts := ComputeFacts(factsOnly(pkgs, "repro/internal/mid"), imported)
-	if ff := midFacts.Of("repro/internal/mid.Wrap"); !ff.Allocates || ff.AllocWhy != "calls repro/internal/leaf.Alloc" {
-		t.Errorf("mid.Wrap with imported facts = %+v, want lifted alloc", ff)
+	whole := ComputeFacts(pkgs, nil)
+	for _, key := range []string{
+		"repro/internal/mid.Wrap", "repro/internal/mid.Join", "repro/internal/mid.Burst",
+		"repro/internal/mid.Calm", "repro/internal/mid.Deep",
+	} {
+		if got, want := midFacts.Of(key), whole.Of(key); got != want {
+			t.Errorf("%s with imported facts = %+v, whole-module run = %+v", key, got, want)
+		}
 	}
-	if ff := midFacts.Of("repro/internal/mid.Clock"); !ff.ReadsClock {
-		t.Errorf("mid.Clock with imported facts = %+v, want lifted clock", ff)
+	if ff := midFacts.Of("repro/internal/mid.Join"); !ff.Allocates || ff.AllocWhy != "calls repro/internal/leaf.Concat" {
+		t.Errorf("mid.Join with imported facts = %+v, want lifted alloc", ff)
 	}
 	if !midFacts.Has("repro/internal/leaf.Alloc") {
 		t.Error("imported dependency facts should be retained in the merged table")

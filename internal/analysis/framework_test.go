@@ -11,8 +11,8 @@ func TestByName(t *testing.T) {
 	if err != nil || len(all) != len(All()) {
 		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want %d, nil", len(all), err, len(All()))
 	}
-	if len(all) != 9 {
-		t.Fatalf("suite has %d analyzers; the v2 suite ships 9 — update this pin deliberately", len(all))
+	if len(all) != 8 {
+		t.Fatalf("suite has %d analyzers; the suite ships 8 — update this pin deliberately", len(all))
 	}
 	sub, err := ByName("detwall, errcheck")
 	if err != nil || len(sub) != 2 || sub[0].Name != "detwall" || sub[1].Name != "errcheck" {
@@ -26,14 +26,14 @@ func TestByName(t *testing.T) {
 func TestParseAllowlist(t *testing.T) {
 	m, err := parseAllowlist(`
 # comment
-repro/internal/sched state.execute  # volatile wall series
+repro/internal/pdes Queue.Push  # per-event heap insert
 repro/internal/foo Bar
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m["repro/internal/sched.state.execute"] != "volatile wall series" {
-		t.Fatalf("allowlist entry = %q", m["repro/internal/sched.state.execute"])
+	if m["repro/internal/pdes.Queue.Push"] != "per-event heap insert" {
+		t.Fatalf("hot-list entry = %q", m["repro/internal/pdes.Queue.Push"])
 	}
 	if _, ok := m["repro/internal/foo.Bar"]; !ok {
 		t.Fatal("reasonless entry should still parse (reason lives in the comment column)")

@@ -97,25 +97,8 @@ func mentions(expr ast.Node, pred func(ast.Node) bool) bool {
 	return found
 }
 
-// funcNameAt returns the name of the innermost FuncDecl whose body spans
-// the node n in file f: "Name" for functions, "Recv.Name" for methods.
-func funcNameAt(f *ast.File, n ast.Node) string {
-	var name string
-	for _, d := range f.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		if fd.Body.Pos() <= n.Pos() && n.Pos() <= fd.Body.End() {
-			name = fd.Name.Name
-			if fd.Recv != nil && len(fd.Recv.List) > 0 {
-				name = recvTypeName(fd.Recv.List[0].Type) + "." + name
-			}
-		}
-	}
-	return name
-}
-
+// recvTypeName returns a receiver's base type name, with pointers and
+// type parameters stripped.
 func recvTypeName(e ast.Expr) string {
 	switch t := e.(type) {
 	case *ast.StarExpr:

@@ -8,5 +8,5 @@ import "testing"
 // against a type-stable twin, and sync.Pool use-after-Put against the
 // re-acquire and use-before-Put clean paths.
 func TestLockhygHygiene(t *testing.T) {
-	RunFixture(t, Lockhyg, "testdata/src/lockhyg", "repro/internal/mpi")
+	RunFixture(t, "testdata/src/lockhyg", "repro/internal/mpi", Lockhyg)
 }

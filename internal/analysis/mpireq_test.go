@@ -3,7 +3,7 @@ package analysis
 import "testing"
 
 func TestMpireqWaitDiscipline(t *testing.T) {
-	RunFixture(t, Mpireq, "testdata/src/mpireq", "repro/internal/osu")
+	RunFixture(t, "testdata/src/mpireq", "repro/internal/osu", Mpireq)
 }
 
 func TestMpireqSkipsRuntimePackage(t *testing.T) {

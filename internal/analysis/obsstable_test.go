@@ -3,5 +3,5 @@ package analysis
 import "testing"
 
 func TestObsstableStableSnapshotContract(t *testing.T) {
-	RunFixture(t, Obsstable, "testdata/src/obsstable", "repro/internal/sched")
+	RunFixture(t, "testdata/src/obsstable", "repro/internal/sched", Obsstable)
 }

@@ -54,6 +54,15 @@ func TestSelfCheck(t *testing.T) {
 			t.Fatalf("loader missed %s (got %v)", must, found)
 		}
 	}
+	// Module shape: every package another package can import lives
+	// under internal/. That is what lets detwall's internal/* scope
+	// cover every clock read an artefact writer can reach.
+	for _, p := range pkgs {
+		if p.Types.Name() != "main" && !strings.HasPrefix(p.Path, ModulePath+"/internal/") {
+			t.Errorf("non-main package %s is outside %s/internal/: detwall would not see its clock reads",
+				p.Path, ModulePath)
+		}
+	}
 	diags, err := Run(All(), pkgs)
 	if err != nil {
 		t.Fatalf("running suite: %v", err)
@@ -73,8 +82,8 @@ func contains(xs []string, want string) bool {
 }
 
 // TestSelfCheckNewAnalyzers pins the v2 suite specifically: the module
-// must stay clean under the facts-engine analyzers (allochot, detflow,
-// lockhyg) on their own, so a regression in one of them cannot hide
+// must stay clean under allochot (the facts-engine analyzer) and
+// lockhyg on their own, so a regression in one of them cannot hide
 // behind the older analyzers' output ordering.
 func TestSelfCheckNewAnalyzers(t *testing.T) {
 	if testing.Short() {
@@ -86,7 +95,7 @@ func TestSelfCheckNewAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	diags, err := Run([]*Analyzer{Allochot, Detflow, Lockhyg}, pkgs)
+	diags, err := Run([]*Analyzer{Allochot, Lockhyg}, pkgs)
 	if err != nil {
 		t.Fatalf("running v2 analyzers: %v", err)
 	}
@@ -95,24 +104,17 @@ func TestSelfCheckNewAnalyzers(t *testing.T) {
 	}
 }
 
-// TestAllowlistReasons asserts every embedded allowlist entry carries a
-// non-empty reason: the escape hatches are reviewable only if each one
-// says why it exists. (Inline //lint:allow comments are covered by the
+// TestAllowlistReasons asserts every embedded hot-list entry carries a
+// non-empty reason: the list is reviewable only if each entry says why
+// the function is hot. (Inline //lint:allow comments are covered by the
 // sweep itself — a missing reason is a "suppression" diagnostic.)
 func TestAllowlistReasons(t *testing.T) {
-	lists := map[string]map[string]string{
-		"detwall_allow.txt": detwallAllow,
-		"allochot_hot.txt":  allochotHot,
-		"detflow_sinks.txt": detflowSinks,
+	if len(allochotHot) == 0 {
+		t.Error("allochot_hot.txt: embedded hot-list is empty")
 	}
-	for file, entries := range lists {
-		if len(entries) == 0 {
-			t.Errorf("%s: embedded allowlist is empty", file)
-		}
-		for key, reason := range entries {
-			if strings.TrimSpace(reason) == "" {
-				t.Errorf("%s: entry %q has no reason", file, key)
-			}
+	for key, reason := range allochotHot {
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("allochot_hot.txt: entry %q has no reason", key)
 		}
 	}
 }

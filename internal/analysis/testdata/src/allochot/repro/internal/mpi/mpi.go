@@ -1,4 +1,4 @@
-// Package mpi is the allochot fixture: hot functions by marker, the
+// Package mpi is the allochot fixture: hot functions named by the test, the
 // direct allocation catalogue, and cross-package transitive facts.
 package mpi
 
@@ -16,38 +16,31 @@ type Comm struct {
 	table map[int]int
 }
 
-//reprolint:hot
 func (c *Comm) SendAppend(v float64) {
 	c.buf = append(c.buf, v) // want `allocation in hot function Comm.SendAppend: append may grow its backing array`
 }
 
-//reprolint:hot
 func (c *Comm) SendMake(n int) {
 	c.buf = make([]float64, n) // want `allocation in hot function Comm.SendMake: make allocates`
 }
 
-//reprolint:hot
 func (c *Comm) SendLiteral() {
 	c.table = map[int]int{1: 1} // want `allocation in hot function Comm.SendLiteral: composite literal allocates a map`
 }
 
-//reprolint:hot
 func (c *Comm) SendConcat(a, b string) {
 	c.sum = a + b // want `allocation in hot function Comm.SendConcat: string concatenation builds a new string`
 }
 
-//reprolint:hot
 func (c *Comm) SendClosure(v float64) {
 	f := func() int { return len(c.buf) } // want `allocation in hot function Comm.SendClosure: capturing function literal allocates a closure`
 	c.cb = f
 }
 
-//reprolint:hot
 func (c *Comm) SendIndirect() {
 	c.cb() // want `allocation in hot function Comm.SendIndirect: indirect call \(unknown allocation behaviour\)`
 }
 
-//reprolint:hot
 func (c *Comm) SendIface(p []byte) {
 	c.sink.Write(p) // want `allocation in hot function Comm.SendIface: interface method call`
 }
@@ -55,27 +48,22 @@ func (c *Comm) SendIface(p []byte) {
 // box consumes an any parameter.
 func box(v any) any { return v }
 
-//reprolint:hot
 func (c *Comm) SendBoxed(v float64) {
 	box(v) // want `allocation in hot function Comm.SendBoxed: argument boxed into interface parameter`
 }
 
-//reprolint:hot
 func (c *Comm) SendTransitive(e int) {
 	c.q.Push(e) // want `hot function Comm.SendTransitive calls allocating function \(repro/internal/pdes.Queue.Push -> append may grow its backing array at pdes.go:15\)`
 }
 
-//reprolint:hot
 func (c *Comm) SendPooled(e int) {
 	c.q.PushPooled(e) // clean: the callee's allow clears its Allocates fact
 }
 
-//reprolint:hot
 func (c *Comm) SendLen() int {
 	return c.q.Len() // clean: allocation-free callee across the boundary
 }
 
-//reprolint:hot
 func (c *Comm) SendAllowed(v float64) {
 	//lint:allow reprolint/allochot audited amortised growth in the fixture
 	c.buf = append(c.buf, v)
@@ -86,7 +74,6 @@ func (c *Comm) SendCold(v float64) {
 	c.buf = append(c.buf, v)
 }
 
-//reprolint:hot
 func (c *Comm) SendPanicGuard(v float64) {
 	if v < 0 {
 		panic(boxString("negative", v)) // clean: panic arguments are terminal cold paths
@@ -96,7 +83,6 @@ func (c *Comm) SendPanicGuard(v float64) {
 
 func boxString(s string, v float64) string { return s }
 
-//reprolint:hot
 func (c *Comm) SendSpawn() {
 	go c.SendLen() // want `allocation in hot function Comm.SendSpawn: go statement allocates a goroutine`
 }

@@ -9,8 +9,8 @@ type Queue struct {
 }
 
 // Push allocates and its key collides with the real module's embedded
-// hot-list on purpose: list-driven hotness (no marker) must fire here,
-// and the Allocates fact must cross into the mpi stub.
+// hot-list on purpose: the embedded list must fire here, and the
+// Allocates fact must cross into the mpi stub.
 func (q *Queue) Push(e int) {
 	q.h = append(q.h, e) // want `allocation in hot function Queue.Push: append may grow its backing array`
 }

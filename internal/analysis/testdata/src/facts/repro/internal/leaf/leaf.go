@@ -1,16 +1,15 @@
-// Package leaf is the facts-engine fixture's dependency: every effect
-// class at the bottom of the call graph, plus recursion shapes.
+// Package leaf is the facts-engine fixture's dependency: one allocation
+// source of each shape at the bottom of the call graph, plus recursion
+// shapes.
 package leaf
-
-import "time"
 
 // Alloc allocates directly.
 func Alloc() []int { return make([]int, 8) }
 
-// Now reads the wall clock.
-func Now() int64 { return time.Now().UnixNano() }
+// Concat allocates by building a new string.
+func Concat(a, b string) string { return a + b }
 
-// Spawn starts a goroutine.
+// Spawn allocates a goroutine.
 func Spawn() {
 	go func() {}()
 }

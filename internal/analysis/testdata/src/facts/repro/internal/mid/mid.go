@@ -7,8 +7,8 @@ import "repro/internal/leaf"
 // Wrap crosses the boundary into an allocating callee.
 func Wrap() []int { return leaf.Alloc() }
 
-// Clock reaches the wall clock two hops deep.
-func Clock() int64 { return leaf.Now() }
+// Join reaches the string concatenation one hop down.
+func Join() string { return leaf.Concat("a", "b") }
 
 // Burst transitively spawns.
 func Burst() { leaf.Spawn() }
@@ -16,5 +16,5 @@ func Burst() { leaf.Spawn() }
 // Calm only touches the effect-free leaf.
 func Calm() int { return leaf.Clean(1, 2) }
 
-// Deep stacks a third hop so WhyChain has a real path to print.
+// Deep stacks a third hop so AllocChain has a real path to print.
 func Deep() []int { return Wrap() }

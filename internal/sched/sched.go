@@ -262,17 +262,20 @@ func (s *state) work() {
 
 // execute runs one job: cache lookup, Run with panic recovery, cache store.
 func (s *state) execute(j *Job) Result {
+	//lint:allow reprolint/detwall volatile job wall latency; never reaches artefact bytes
 	start := time.Now()
 	if j.Key != nil && s.opt.Cache != nil {
 		if files, virtual, ok := s.opt.Cache.Get(*j.Key); ok {
 			s.met.cacheHits.Inc()
 			return Result{ID: j.ID, Status: Cached, Files: files,
+				//lint:allow reprolint/detwall volatile job wall latency; never reaches artefact bytes
 				Wall: time.Since(start), Virtual: virtual}
 		}
 		s.met.cacheMisses.Inc()
 	}
 	ctx := &Ctx{meter: &sim.Meter{}}
 	files, err := runRecovered(j, ctx)
+	//lint:allow reprolint/detwall volatile job wall latency; never reaches artefact bytes
 	res := Result{ID: j.ID, Wall: time.Since(start), Virtual: ctx.meter.Total()}
 	s.met.jobWall.Observe(res.Wall.Nanoseconds())
 	s.met.busyNS.Add(res.Wall.Nanoseconds())

@@ -1,0 +1,80 @@
+package repro
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/obs"
+)
+
+// TestReproSmokeManifest drives cmd/repro the way a user does: a cold
+// smoke sweep with -manifest. The top-level run manifest and every
+// per-artefact manifest written beside the outputs must decode and pass
+// Validate (obs.ReadManifest does both), and every file the run
+// manifest hashes must be on disk with that hash. Byte-determinism
+// across worker counts is TestGoldenDeterminismSmoke's job in
+// internal/experiments.
+//
+// Skipped in -short mode and under the race detector, like
+// TestExamplesSmoke: it builds a separate, uninstrumented binary.
+func TestReproSmokeManifest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cmd/repro build skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("cmd/repro build skipped under the race detector")
+	}
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skipf("go tool not on PATH: %v", err)
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "repro")
+	if out, err := exec.Command(gobin, "build", "-o", bin, "./cmd/repro").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/repro: %v\n%s", err, out)
+	}
+	outDir := filepath.Join(dir, "out")
+	runManifest := filepath.Join(dir, "run.manifest.json")
+	cmd := exec.Command(bin, "-sweep", "smoke", "-nocache", "-j", "2",
+		"-out", outDir, "-manifest", runManifest)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("repro -sweep smoke: %v\n%s", err, out)
+	}
+
+	m, err := obs.ReadManifest(runManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Binary != "repro" || m.Knobs["sweep"] != "smoke" || len(m.Artefacts) == 0 {
+		t.Fatalf("run manifest header: binary %q, sweep %q, %d artefacts",
+			m.Binary, m.Knobs["sweep"], len(m.Artefacts))
+	}
+	for name, want := range m.Artefacts {
+		content, err := os.ReadFile(filepath.Join(outDir, name))
+		if err != nil {
+			t.Errorf("run manifest lists %s: %v", name, err)
+			continue
+		}
+		sum := sha256.Sum256(content)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s has sha256 %s, run manifest records %s", name, got, want)
+		}
+	}
+
+	siblings, err := filepath.Glob(filepath.Join(outDir, "*.manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(siblings) == 0 {
+		t.Fatalf("no per-artefact manifests in %s", outDir)
+	}
+	for _, path := range siblings {
+		if _, err := obs.ReadManifest(path); err != nil {
+			t.Error(err)
+		}
+	}
+}
