@@ -108,13 +108,7 @@ func (c *Comm) collective(name string, bytes int, body func()) {
 // Barrier blocks until all ranks of the communicator reach it, using a
 // dissemination barrier (ceil(log2 p) rounds for any p).
 func (c *Comm) Barrier() {
-	p := c.Size()
-	c.collective("Barrier", 0, func() {
-		for k := 1; k < p; k <<= 1 {
-			c.SendN((c.rank+k)%p, tagBarrier, 0)
-			c.RecvN((c.rank-k+p)%p, tagBarrier)
-		}
-	})
+	c.collective("Barrier", 0, func() { c.phantom(collBarrier, 0) })
 }
 
 // binomial runs the binomial-tree communication of a broadcast rooted at
@@ -241,35 +235,7 @@ func (c *Comm) AllreduceInts(op Op, data []int) {
 // with phantom payloads (the skeleton workloads' workhorse: the paper's
 // KSp section is "entirely 4-byte all-reduce operations").
 func (c *Comm) AllreduceN(n int) {
-	p := c.Size()
-	c.collective("Allreduce", n, func() {
-		if p&(p-1) == 0 {
-			for mask := 1; mask < p; mask <<= 1 {
-				partner := c.rank ^ mask
-				c.SendN(partner, tagAllred, n)
-				c.RecvN(partner, tagAllred)
-			}
-			return
-		}
-		// reduce to 0
-		vr := c.rank
-		mask := 1
-		for mask < p {
-			if vr&mask == 0 {
-				if vr+mask < p {
-					c.RecvN(vr+mask, tagReduce)
-				}
-			} else {
-				c.SendN(vr-mask, tagReduce, n)
-				break
-			}
-			mask <<= 1
-		}
-		// broadcast from 0
-		c.binomialBcast(0,
-			func(dst int) { c.SendN(dst, tagBcast, n) },
-			func(src int) { c.RecvN(src, tagBcast) })
-	})
+	c.collective("Allreduce", n, func() { c.phantom(collAllreduce, n) })
 }
 
 // Allgather gathers each rank's send block into recv on every rank
@@ -316,15 +282,7 @@ func (c *Comm) AllgatherInts(send, recv []int) {
 // AllgatherN performs a phantom allgather where each rank contributes n
 // bytes.
 func (c *Comm) AllgatherN(n int) {
-	p := c.Size()
-	c.collective("Allgather", n, func() {
-		right := (c.rank + 1) % p
-		left := (c.rank - 1 + p) % p
-		for s := 0; s < p-1; s++ {
-			c.SendN(right, tagAllgat, n)
-			c.RecvN(left, tagAllgat)
-		}
-	})
+	c.collective("Allgather", n, func() { c.phantom(collAllgather, n) })
 }
 
 // Alltoall exchanges equal blocks between every pair of ranks (pairwise
@@ -370,15 +328,7 @@ func (c *Comm) AlltoallComplex(send, recv []complex128) {
 // shrinks as 1/p^2, the effect the paper uses to explain FT's recovery at
 // high process counts on DCC.
 func (c *Comm) AlltoallN(blockBytes int) {
-	p := c.Size()
-	c.collective("Alltoall", blockBytes*p, func() {
-		for s := 1; s < p; s++ {
-			dst := (c.rank + s) % p
-			src := (c.rank - s + p) % p
-			c.SendN(dst, tagAlltoal, blockBytes)
-			c.RecvN(src, tagAlltoal)
-		}
-	})
+	c.collective("Alltoall", blockBytes*c.Size(), func() { c.phantom(collAlltoall, blockBytes) })
 }
 
 // Gather collects each rank's send block to root's recv buffer (linear).

@@ -248,14 +248,29 @@ func (c *Comm) sendMsg(dst, tag int, m *message, bytes int) float64 {
 	}
 	c.maybeDie()
 	start := c.st.clock
-	w := c.st.world
 	wdst := c.group[dst]
-	link := w.link(c.st.wrank, wdst)
-	share := w.nicShare(c.st.wrank, wdst)
-	if c.st.solo {
+	m.ctx, m.src, m.tag = c.ctx, c.st.wrank, tag
+	m.bytes, m.arrive = bytes, c.st.sendCost(wdst, bytes)
+	c.st.world.inboxes[wdst].put(c.st.world, m)
+	return start
+}
+
+// sendCost charges this rank's side of one bytes-long message to world
+// rank wdst and returns the message's arrival time at the receiver: the
+// sender's busy time (with the link's jitter drawn from this rank's own
+// stream), the solo/NIC bandwidth share, any fault-plan link degradation
+// and the send counters. The message plane and the collective schedule
+// evaluator both charge every message through here, so the two agree
+// bit for bit on clocks, random draws and metrics.
+func (st *rankState) sendCost(wdst, bytes int) float64 {
+	start := st.clock
+	w := st.world
+	link := w.link(st.wrank, wdst)
+	share := w.nicShare(st.wrank, wdst)
+	if st.solo {
 		share = 1
 	}
-	if w.faults != nil && w.Placement.NodeOf[c.st.wrank] != w.Placement.NodeOf[wdst] {
+	if w.faults != nil && w.Placement.NodeOf[st.wrank] != w.Placement.NodeOf[wdst] {
 		// Inter-node transfers feel the fault plan's link degradation
 		// windows; intra-node copies never cross the degraded fabric.
 		if lf, bf := w.faults.DegradationAt(start); lf > 1 || bf > 1 {
@@ -263,10 +278,8 @@ func (c *Comm) sendMsg(dst, tag int, m *message, bytes int) float64 {
 			link = &dl
 		}
 	}
-	busy, delay := link.TransferShared(c.st.rng, bytes, share)
-	c.st.clock += busy
-	m.ctx, m.src, m.tag = c.ctx, c.st.wrank, tag
-	m.bytes, m.arrive = bytes, start+delay
+	busy, delay := link.TransferShared(st.rng, bytes, share)
+	st.clock += busy
 	w.met.sends.Inc()
 	w.met.sendBytes.Add(int64(bytes))
 	w.met.msgBytes.Observe(int64(bytes))
@@ -275,8 +288,7 @@ func (c *Comm) sendMsg(dst, tag int, m *message, bytes int) float64 {
 	} else {
 		w.met.eager.Inc()
 	}
-	w.inboxes[wdst].put(w, m)
-	return start
+	return start + delay
 }
 
 // leaseMessage leases a pooled envelope on behalf of this rank's world,
@@ -320,31 +332,38 @@ func (c *Comm) recvRaw(src, tag int) *message {
 		wsrc = c.group[src]
 	}
 	m := c.st.world.inboxes[c.st.wrank].match(c.st.world, c.ctx, wsrc, tag)
-	link := c.st.world.link(m.src, c.st.wrank)
-	st := c.st
+	c.st.recvCost(m.src, m.bytes, m.arrive)
+	return m
+}
+
+// recvCost accounts one received bytes-long message from world rank wsrc
+// that arrived at virtual time arrive: the receive counters, the
+// late-sender wait or late-receiver queueing it implies, the call's
+// waitPeer, and the receive overhead. Like sendCost it is shared by the
+// message plane and the collective schedule evaluator.
+func (st *rankState) recvCost(wsrc, bytes int, arrive float64) {
 	met := &st.world.met
 	met.recvs.Inc()
-	met.recvBytes.Add(int64(m.bytes))
+	met.recvBytes.Add(int64(bytes))
 	// Classify the wait state before advancing the clock: arrival after
 	// the receive entry is late-sender blocked time, arrival before it
 	// means the message sat queued (late receiver). Neither changes any
 	// clock value the model already computed.
-	if m.arrive > st.clock {
-		wait := m.arrive - st.clock
+	if arrive > st.clock {
+		wait := arrive - st.clock
 		st.waitAcc += wait
 		if wait > st.maxWait {
 			st.maxWait = wait
-			st.waitPeer = m.src
+			st.waitPeer = wsrc
 		}
 		met.waitNS.AddSeconds(wait)
-		st.clock = m.arrive
-	} else if m.arrive < st.clock {
-		queued := st.clock - m.arrive
+		st.clock = arrive
+	} else if arrive < st.clock {
+		queued := st.clock - arrive
 		st.queuedAcc += queued
 		met.queuedNS.AddSeconds(queued)
 	}
-	st.clock += link.RecvOverhead
-	return m
+	st.clock += st.world.link(wsrc, st.wrank).RecvOverhead
 }
 
 // Send transmits data to communicator rank dst with the given tag,

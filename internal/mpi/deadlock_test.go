@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mpi"
 	"repro/internal/platform"
@@ -12,7 +13,9 @@ import (
 // TestDeadlockDiagnosis checks that a default world fails the moment it
 // quiesces — with each blocked rank's wait predicate in the error —
 // instead of timing out against the wall-clock watchdog, and that a
-// rank's own error outranks the deadlock it leaves its peers in.
+// rank's own error outranks the deadlock it leaves its peers in. Ranks
+// parked at a collective's rendezvous count as blocked and are named
+// with the collective they wait in.
 func TestDeadlockDiagnosis(t *testing.T) {
 	cases := []struct {
 		name string
@@ -48,10 +51,38 @@ func TestDeadlockDiagnosis(t *testing.T) {
 			c.RecvN(0, 5)
 			return nil
 		}, "mpi: rank 0: boom"},
+		{"skipped-collective", 4, func(c *mpi.Comm) error {
+			if c.Rank() == 3 {
+				c.RecvN(0, 7) // skips the allreduce its peers park in
+			} else {
+				c.AllreduceN(4)
+			}
+			return nil
+		}, "mpi: deadlock: 4 rank(s) blocked with no runnable peer:" +
+			" rank 0 waiting in Allreduce (ctx=1, 3/4 entered) rank 1 waiting in Allreduce (ctx=1, 3/4 entered)" +
+			" rank 2 waiting in Allreduce (ctx=1, 3/4 entered) rank 3 waiting on (src=0, tag=7)"},
+		{"mismatched-collectives", 2, func(c *mpi.Comm) error {
+			if c.Rank() == 0 {
+				c.AllreduceN(4)
+			} else {
+				c.Barrier()
+			}
+			return nil
+		}, "mpi: deadlock: 2 rank(s) blocked with no runnable peer:" +
+			" rank 0 waiting in Allreduce (ctx=1, 2/2 entered) rank 1 waiting in Barrier (ctx=1, 2/2 entered)"},
+		{"rank-error-before-collective", 3, func(c *mpi.Comm) error {
+			if c.Rank() == 0 {
+				return fmt.Errorf("boom") // never enters the barrier
+			}
+			c.Barrier()
+			return nil
+		}, "mpi: rank 0: boom"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := mpi.RunOn(platform.Vayu(), tc.np, tc.fn)
+			// A deadlock must be caught at quiescence; the short watchdog
+			// turns a miss into a wrong error instead of a long hang.
+			_, err := mpi.RunOn(platform.Vayu(), tc.np, tc.fn, mpi.WithTimeout(time.Minute))
 			if err == nil || err.Error() != tc.want {
 				t.Fatalf("got %v, want %q", err, tc.want)
 			}

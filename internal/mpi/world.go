@@ -7,10 +7,20 @@
 // and round counts match a real MPI library. Time, however, is virtual:
 // each rank carries a clock that advances by modelled computation cost
 // (package cpumodel), message injection/flight cost (package netmodel) and
-// I/O cost (package iomodel). Because every inter-rank dependency flows
-// through a real message that carries its virtual arrival time, the
-// resulting timestamps form a causally consistent conservative
-// discrete-event simulation.
+// I/O cost (package iomodel).
+//
+// Every inter-rank dependency is a real synchronisation between rank
+// goroutines, so the timestamps form a causally consistent conservative
+// discrete-event simulation. Point-to-point operations, real-payload
+// collectives, BcastN and GatherN, and all collectives of a world under a
+// fault plan exchange real messages that carry their virtual arrival
+// times. The fault-free phantom collectives Barrier, AllreduceN,
+// AllgatherN and AlltoallN are fully synchronising, so they are
+// evaluated as schedules instead: each rank parks once at its
+// communicator's rendezvous, and the last to enter charges the
+// algorithm's rounds through the same per-message cost code (see
+// schedule.go). Clocks, CallRecords and message counters are the same
+// as the message path's, bit for bit.
 //
 // Misuse (rank out of range, type-mismatched receive, truncation) panics
 // with a descriptive message, mirroring MPI's error-aborts; World.Run
@@ -81,6 +91,9 @@ type World struct {
 	incarnation int         // restart count of this incarnation
 	resil       *resilState // checkpoint store shared across incarnations
 	sb          scoreboard  // rank liveness: quiescence, failure and deadlock
+
+	slotMu sync.Mutex           // serialises slot leases
+	slots  atomic.Pointer[slot] // this Run's rendezvous slots, one per communicator context
 }
 
 // scoreboard tracks how many ranks can still make progress. A world is
@@ -145,16 +158,20 @@ func (w *World) quiesce() {
 	}
 }
 
-// diagnoseDeadlock names the blocked ranks of a quiescent world with
-// each one's pending receive, e.g. "rank 0 waiting on (src=3, tag=99)"
-// (-1 is AnySource/AnyTag). Past five, the first four are listed and the
-// rest counted.
+// diagnoseDeadlock names the blocked ranks of a quiescent world in rank
+// order: each one's pending receive, e.g. "rank 0 waiting on (src=3,
+// tag=99)" (-1 is AnySource/AnyTag), or the collective it is parked in,
+// e.g. "rank 1 waiting in Allreduce (ctx=1, 3/4 entered)". Past five,
+// the first four are listed and the rest counted.
 func (w *World) diagnoseDeadlock() error {
+	parked := w.parkedRanks()
 	var blocked []string
 	for r, b := range w.inboxes {
 		b.mu.Lock()
 		if b.waiting {
 			blocked = append(blocked, fmt.Sprintf("rank %d waiting on (src=%d, tag=%d)", r, b.wsrc, b.wtag))
+		} else if parked[r] != "" {
+			blocked = append(blocked, parked[r])
 		}
 		b.mu.Unlock()
 	}
@@ -182,9 +199,10 @@ func (w *World) markFailed(rank, node int, at float64) {
 	w.sb.mu.Unlock()
 }
 
-// abortAll wakes every blocked receiver with the abort flag set. Safe to
-// call multiple times.
+// abortAll wakes every blocked receiver and every rank parked at a
+// rendezvous with the abort flag set. Safe to call multiple times.
 func (w *World) abortAll() {
+	w.abortSlots()
 	for _, b := range w.inboxes {
 		b.mu.Lock()
 		b.aborted = true
@@ -242,13 +260,14 @@ func NewWorld(p *platform.Platform, pl *cluster.Placement, opts ...Option) (*Wor
 }
 
 // Release returns the world's pooled resources (inboxes and their bucket
-// structures) for reuse by future worlds. The world is unusable
-// afterwards. Only clean inboxes are recycled — a world holding
-// unmatched messages or unwound by an abort sheds its inboxes to the GC
-// instead. RunOn, core.Execute and the resilient loop release completed
+// structures, rendezvous slots) for reuse by future worlds. The world is
+// unusable afterwards. Only clean inboxes and slots are recycled — a
+// world holding unmatched messages or unwound by an abort sheds them to
+// the GC instead. RunOn, core.Execute and the resilient loop release completed
 // worlds automatically; long-lived worlds that are Run repeatedly simply
 // never call it.
 func (w *World) Release() {
+	w.releaseSlots()
 	releaseInboxes(w.inboxes)
 	w.inboxes = nil
 }
@@ -286,6 +305,7 @@ func (w *World) Run(fn func(c *Comm) error) (*Result, error) {
 	for r := 0; r < w.np; r++ {
 		initComm(&comms[r], &states[r], w, r, group)
 	}
+	w.releaseSlots()
 	w.sb.quiet = make(chan struct{})
 	w.sb.quiesced.Store(false)
 	w.sb.ranks.Store(int64(w.np) * (liveRank + 1))
