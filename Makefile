@@ -22,8 +22,9 @@ vet:
 
 # Static-analysis gate: format, toolchain vet, a clean dependency surface
 # (go.mod must stay tidy and verifiable in the hermetic build), and the
-# reprolint suite (internal/analysis) proving the determinism, MPI-hygiene
-# and metrics-stability invariants. Non-zero on any finding.
+# reprolint suite (internal/analysis) proving the determinism, MPI-hygiene,
+# metrics-stability, error-handling and lock-hygiene invariants. Non-zero
+# on any finding.
 lint: fmt vet
 	$(GO) mod tidy -diff
 	$(GO) mod verify
@@ -34,7 +35,7 @@ lint-sarif: build
 	$(GO) run ./cmd/reprolint -sarif ./... > reprolint.sarif
 
 # The lint gate's own latency is a tracked performance surface: time one
-# cold in-process reprolint sweep (load + type-check + facts + all
+# cold in-process reprolint sweep (load + type-check + all seven
 # analyzers) against the committed wall-clock budget and append a
 # lint/reprolint-sweep point to the bench history.
 lint-bench: build

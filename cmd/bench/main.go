@@ -239,7 +239,7 @@ func fatal(err error) {
 }
 
 // runLintBench times one cold reprolint sweep of the whole module —
-// load, type-check, interprocedural facts, every analyzer — in-process
+// load, type-check, every analyzer — in-process
 // (the same work `make lint`'s reprolint step does, minus the go run
 // compile), checks it against the committed wall-clock budget and
 // appends a "lint/reprolint-sweep" point to the bench history.

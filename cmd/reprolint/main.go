@@ -1,5 +1,6 @@
-// Command reprolint runs the repository's determinism, MPI-hygiene and
-// metrics-stability analyzers (internal/analysis) over module packages.
+// Command reprolint runs the repository's seven static analyzers
+// (internal/analysis: determinism, MPI hygiene, metrics stability,
+// error handling and lock hygiene) over module packages.
 //
 // Standalone:
 //
@@ -12,6 +13,10 @@
 // run under the standard driver:
 //
 //	go vet -vettool=$(pwd)/reprolint ./...
+//
+// Every analyzer judges one package on its own, so the tool reads no
+// dependency facts and writes none: go vet hands it one package per
+// invocation and it reports that package's findings.
 //
 // Exit status: 0 clean, 1 findings, 2 operational error.
 package main
@@ -28,7 +33,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
@@ -225,8 +229,6 @@ type vetConfig struct {
 	GoFiles     []string
 	ImportMap   map[string]string
 	PackageFile map[string]string
-	PackageVetx map[string]string // dependency facts written by earlier invocations
-	VetxOutput  string            // where this package's facts go
 }
 
 // runVettool analyzes the single package described by a unitchecker cfg
@@ -294,41 +296,10 @@ func runVettool(cfgPath string, analyzers []*analysis.Analyzer, jsonOut bool, st
 		Path: cfg.ImportPath, Dir: cfg.Dir,
 		Fset: fset, Files: files, Types: tpkg, Info: info,
 	}
-	// Seed the facts engine with the dependency summaries go vet has
-	// already collected (the PackageVetx half of the unitchecker
-	// protocol), then export this package's table for its importers.
-	imported := &analysis.Facts{}
-	vetxPaths := make([]string, 0, len(cfg.PackageVetx))
-	for p := range cfg.PackageVetx {
-		vetxPaths = append(vetxPaths, p)
-	}
-	sort.Strings(vetxPaths)
-	for _, p := range vetxPaths {
-		blob, err := os.ReadFile(cfg.PackageVetx[p])
-		if err != nil || len(blob) == 0 {
-			continue // dependency produced no facts; nothing to seed
-		}
-		dep := &analysis.Facts{}
-		if err := dep.UnmarshalJSON(blob); err != nil {
-			fmt.Fprintf(stderr, "reprolint: bad facts for %s: %v\n", p, err)
-			return 2
-		}
-		imported.Merge(dep)
-	}
-	diags, facts, err := analysis.RunWithFacts(analyzers, []*analysis.Package{pkg}, imported)
+	diags, err := analysis.Run(analyzers, []*analysis.Package{pkg})
 	if err != nil {
 		fmt.Fprintln(stderr, "reprolint:", err)
 		return 2
-	}
-	if cfg.VetxOutput != "" {
-		blob, err := facts.MarshalJSON()
-		if err == nil {
-			err = os.WriteFile(cfg.VetxOutput, blob, 0o666)
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "reprolint:", err)
-			return 2
-		}
 	}
 	if jsonOut {
 		// The unitchecker JSON shape, parsed by the go vet driver:

@@ -1,9 +1,12 @@
 // Package analysis is the repository's static-analysis plane: a small,
 // stdlib-only reimplementation of the golang.org/x/tools/go/analysis
-// analyzer shape plus the eight reprolint analyzers that prove the
-// determinism, MPI-hygiene, metrics-stability, hot-path allocation and
+// analyzer shape plus the seven reprolint analyzers that prove the
+// determinism, MPI-hygiene, metrics-stability, error-handling and
 // lock-hygiene invariants the golden tests otherwise only catch after a
-// violation ships.
+// violation ships. Hot-path allocation freedom is not a static check:
+// it is measured by testing.AllocsPerRun tests next to the hot code
+// (internal/mpi/alloc_test.go, internal/pdes/queue_test.go,
+// internal/facility/alloc_test.go).
 //
 // The build environment is hermetic (no module proxy), so the framework
 // deliberately depends on nothing outside the standard library: packages
@@ -31,11 +34,6 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph help text shown by cmd/reprolint -list.
 	Doc string
-	// NeedsFacts marks analyzers that consume the interprocedural fact
-	// table (Pass.Facts): the driver computes facts over the loaded
-	// packages (seeded with imported dependency facts under the vettool
-	// protocol) before any such analyzer runs.
-	NeedsFacts bool
 	// Run inspects one package and reports findings via pass.Reportf.
 	Run func(pass *Pass) error
 }
@@ -47,12 +45,6 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-
-	// Facts is the interprocedural fact table covering every function of
-	// the analyzed package set (plus imported dependency summaries under
-	// the vettool protocol). Populated for every pass; analyzers that set
-	// NeedsFacts rely on it, the rest may ignore it.
-	Facts *Facts
 
 	diags *[]Diagnostic
 }
@@ -94,17 +86,6 @@ func InModule(path string) bool {
 // by position. Malformed suppressions (missing reason) are themselves
 // reported so a silencing comment always carries its justification.
 func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
-	diags, _, err := RunWithFacts(analyzers, pkgs, nil)
-	return diags, err
-}
-
-// RunWithFacts is Run plus the interprocedural fact plumbing: imported
-// seeds the fact computation with dependency summaries (nil when the
-// whole module is loaded at once), and the returned fact table — the
-// imported facts plus a summary for every function declared in pkgs —
-// is what a vettool driver exports for the packages that import these.
-func RunWithFacts(analyzers []*Analyzer, pkgs []*Package, imported *Facts) ([]Diagnostic, *Facts, error) {
-	facts := ComputeFacts(pkgs, imported)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		if !InModule(pkg.Path) {
@@ -119,12 +100,11 @@ func RunWithFacts(analyzers []*Analyzer, pkgs []*Package, imported *Facts) ([]Di
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
-				Facts:    facts,
 				diags:    &diags,
 			}
 			before := len(diags)
 			if err := a.Run(pass); err != nil {
-				return nil, nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
+				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 			}
 			diags = filterSuppressed(diags, before, sup)
 		}
@@ -142,7 +122,7 @@ func RunWithFacts(analyzers []*Analyzer, pkgs []*Package, imported *Facts) ([]Di
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return diags, facts, nil
+	return diags, nil
 }
 
 // suppression marks "analyzer X is allowed at file:line".
@@ -226,7 +206,6 @@ func All() []*Analyzer {
 		Mpireq,
 		Obsstable,
 		Errcheck,
-		Allochot,
 		Lockhyg,
 	}
 }

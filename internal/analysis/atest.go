@@ -27,9 +27,7 @@ var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
 // RunFixture type-checks the fixture package at importPath under srcRoot
 // (a GOPATH-shaped tree: srcRoot/<importPath>/*.go), runs the analyzers
-// over it and its module-local fixture dependencies (so interprocedural
-// facts cross the package boundary exactly as in the real module), and
-// compares the diagnostics against the `// want "re"` comments in every
+// over it and its module-local fixture dependencies, and compares the diagnostics against the `// want "re"` comments in every
 // loaded fixture file: each diagnostic must be expected on its line, and
 // each expectation must be matched exactly once.
 func RunFixture(t TB, srcRoot, importPath string, analyzers ...*Analyzer) {

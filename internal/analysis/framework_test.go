@@ -11,8 +11,8 @@ func TestByName(t *testing.T) {
 	if err != nil || len(all) != len(All()) {
 		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want %d, nil", len(all), err, len(All()))
 	}
-	if len(all) != 8 {
-		t.Fatalf("suite has %d analyzers; the suite ships 8 — update this pin deliberately", len(all))
+	if len(all) != 7 {
+		t.Fatalf("suite has %d analyzers; the suite ships 7 — update this pin deliberately", len(all))
 	}
 	sub, err := ByName("detwall, errcheck")
 	if err != nil || len(sub) != 2 || sub[0].Name != "detwall" || sub[1].Name != "errcheck" {
@@ -20,26 +20,6 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nosuch"); err == nil || !strings.Contains(err.Error(), "known:") {
 		t.Fatalf("unknown analyzer error = %v; want list of known names", err)
-	}
-}
-
-func TestParseAllowlist(t *testing.T) {
-	m, err := parseAllowlist(`
-# comment
-repro/internal/pdes Queue.Push  # per-event heap insert
-repro/internal/foo Bar
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m["repro/internal/pdes.Queue.Push"] != "per-event heap insert" {
-		t.Fatalf("hot-list entry = %q", m["repro/internal/pdes.Queue.Push"])
-	}
-	if _, ok := m["repro/internal/foo.Bar"]; !ok {
-		t.Fatal("reasonless entry should still parse (reason lives in the comment column)")
-	}
-	if _, err := parseAllowlist("just-one-field\n"); err == nil {
-		t.Fatal("malformed line must error")
 	}
 }
 

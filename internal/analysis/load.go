@@ -169,8 +169,8 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 
 // Loaded returns every module-local package this loader has loaded so
 // far (roots and their local dependencies) in sorted path order — the
-// set the facts engine needs to see for cross-package summaries in
-// fixture mode.
+// set RunFixture analyzes, so a fixture's stub dependencies are checked
+// against their own want comments too.
 func (l *Loader) Loaded() []*Package {
 	paths := make([]string, 0, len(l.cache))
 	for p := range l.cache {

@@ -81,9 +81,8 @@ func contains(xs []string, want string) bool {
 	return false
 }
 
-// TestSelfCheckNewAnalyzers pins the v2 suite specifically: the module
-// must stay clean under allochot (the facts-engine analyzer) and
-// lockhyg on their own, so a regression in one of them cannot hide
+// TestSelfCheckNewAnalyzers pins lockhyg specifically: the module must
+// stay clean under it on its own, so a regression in it cannot hide
 // behind the older analyzers' output ordering.
 func TestSelfCheckNewAnalyzers(t *testing.T) {
 	if testing.Short() {
@@ -95,27 +94,12 @@ func TestSelfCheckNewAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	diags, err := Run([]*Analyzer{Allochot, Lockhyg}, pkgs)
+	diags, err := Run([]*Analyzer{Lockhyg}, pkgs)
 	if err != nil {
-		t.Fatalf("running v2 analyzers: %v", err)
+		t.Fatalf("running lockhyg: %v", err)
 	}
 	for _, d := range diags {
 		t.Errorf("repo not clean under %s: %s", d.Analyzer, d)
-	}
-}
-
-// TestAllowlistReasons asserts every embedded hot-list entry carries a
-// non-empty reason: the list is reviewable only if each entry says why
-// the function is hot. (Inline //lint:allow comments are covered by the
-// sweep itself — a missing reason is a "suppression" diagnostic.)
-func TestAllowlistReasons(t *testing.T) {
-	if len(allochotHot) == 0 {
-		t.Error("allochot_hot.txt: embedded hot-list is empty")
-	}
-	for key, reason := range allochotHot {
-		if strings.TrimSpace(reason) == "" {
-			t.Errorf("allochot_hot.txt: entry %q has no reason", key)
-		}
 	}
 }
 

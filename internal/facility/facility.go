@@ -525,7 +525,6 @@ func (f *Facility) alloc(i int) *jobRec {
 // after the arrival block, keeping every event's tie-breaking Seq equal
 // to the original encoding's payload index.
 func (f *Facility) pushLater(at float64, kind int, rec *jobRec) {
-	//lint:allow reprolint/allochot amortised growth; the payload array is retained across the run
 	f.payload = append(f.payload, rec)
 	f.queue.Push(pdes.Event{Time: at, Rank: kind, Seq: uint64(len(f.jobs) + len(f.payload) - 1)})
 }
@@ -601,7 +600,6 @@ func (f *Facility) start(p *poolState, rec *jobRec) {
 	p.free -= rec.job.NP
 	p.qWork -= rec.qwork
 	if f.cfg.sched == schedSort {
-		//lint:allow reprolint/allochot legacy schedSort bookkeeping; the heap scheduler never takes this branch
 		p.running = append(p.running, rec)
 	}
 	f.met.started.Inc()

@@ -54,7 +54,6 @@ type pendHeap struct{ h []heapEntry }
 func (q *pendHeap) len() int { return len(q.h) }
 
 func (q *pendHeap) push(e heapEntry) {
-	//lint:allow reprolint/allochot amortised heap growth; the backing array lives for the facility's lifetime
 	q.h = append(q.h, e)
 	i := len(q.h) - 1
 	for i > 0 {
@@ -140,7 +139,6 @@ func (f *Facility) backfillHeap(p *poolState, head heapEntry) {
 	resv, spare := p.profile.reservation(f.clock, p.free, head.rec.job.NP)
 	f.reserve(head.rec, resv)
 	depth := f.cfg.backfillDepth()
-	//lint:allow reprolint/allochot reuses f.scratch backing; grows only to the deepest backfill window
 	kept := append(f.scratch[:0], head)
 	for i := 0; i < depth && p.free > 0 && p.pend.len() > 0; i++ {
 		e := f.popFresh(p)
@@ -155,7 +153,6 @@ func (f *Facility) backfillHeap(p *poolState, head heapEntry) {
 			f.met.backfilled.Inc()
 			continue
 		}
-		//lint:allow reprolint/allochot bounded by backfill depth; spills into retained f.scratch backing
 		kept = append(kept, e)
 	}
 	for _, e := range kept {
@@ -185,7 +182,6 @@ type releaseProfile struct {
 // rank returns the index of the first entry ordered at or after
 // (at, seq).
 func (t *releaseProfile) rank(at float64, seq int) int {
-	//lint:allow reprolint/allochot sort.Search closure does not escape; the compiler keeps it on the stack
 	return sort.Search(len(t.rel), func(i int) bool {
 		e := t.rel[i]
 		if e.at != at {
@@ -197,7 +193,6 @@ func (t *releaseProfile) rank(at float64, seq int) int {
 
 func (t *releaseProfile) insert(at float64, np, seq int) {
 	i := t.rank(at, seq)
-	//lint:allow reprolint/allochot amortised growth; the profile array is retained across events
 	t.rel = append(t.rel, release{})
 	copy(t.rel[i+1:], t.rel[i:])
 	t.rel[i] = release{at: at, np: np, seq: seq}
@@ -205,7 +200,6 @@ func (t *releaseProfile) insert(at float64, np, seq int) {
 
 func (t *releaseProfile) remove(at float64, seq int) {
 	i := t.rank(at, seq)
-	//lint:allow reprolint/allochot delete-in-place append never grows the backing array
 	t.rel = append(t.rel[:i], t.rel[i+1:]...)
 }
 

@@ -182,7 +182,6 @@ func (c *Comm) advance(kind string, secs float64) {
 		c.st.ioTime += secs
 	}
 	if t := c.st.world.tracer; t != nil && c.st.quiet == 0 {
-		//lint:allow reprolint/allochot tracer is nil unless tracing is enabled; traced runs accept the cost
 		t.Advance(c.st.wrank, kind, start, secs)
 	}
 }
@@ -198,7 +197,6 @@ func (c *Comm) record(name string, bytes int, start float64) {
 	dur := st.clock - start
 	st.commTime += dur
 	if t := st.world.tracer; t != nil {
-		//lint:allow reprolint/allochot tracer is nil unless tracing is enabled; traced runs accept the cost
 		t.Call(st.wrank, CallRecord{
 			Name: name, Bytes: bytes, Start: start, Dur: dur, Region: st.region,
 			Wait: st.waitAcc, Queued: st.queuedAcc, Peer: st.waitPeer,

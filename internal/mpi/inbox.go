@@ -58,7 +58,6 @@ func (q *bucket) push(m *message) {
 		q.msgs = q.msgs[:n]
 		q.head = 0
 	}
-	//lint:allow reprolint/allochot amortised growth; the consumed-prefix compaction above bounds the slice
 	q.msgs = append(q.msgs, m)
 }
 
@@ -158,14 +157,12 @@ func (b *inbox) put(w *World, m *message) {
 	m.seq = b.seq
 	b.seq++
 	if b.buckets == nil {
-		//lint:allow reprolint/allochot once per inbox lease; the map is retained by the inbox pool
 		b.buckets = make(map[bucketKey]*bucket, 8)
 	}
 	k := bucketKey{ctx: m.ctx, src: m.src, tag: m.tag}
 	q := b.buckets[k]
 	if q == nil {
 		if len(b.slab) == 0 {
-			//lint:allow reprolint/allochot slab refill amortises bucket allocation 16x (churn budget covers it)
 			b.slab = make([]bucket, 16)
 		}
 		q = &b.slab[0]

@@ -92,10 +92,8 @@ var msgPool = sync.Pool{New: func() any { return &message{fresh: true} }}
 // envelopes come back with it unset.
 func newMessage() (m *message, fresh bool) {
 	if rendezvousBytes.Load() <= 0 {
-		//lint:allow reprolint/allochot pooling-disabled fallback; budget-gated runs always pool
 		return new(message), true
 	}
-	//lint:allow reprolint/allochot pool miss allocates once via New; steady state recycles envelopes
 	m = msgPool.Get().(*message)
 	fresh = m.fresh
 	m.fresh = false
@@ -145,7 +143,6 @@ func grownF64(buf []float64, n int) []float64 {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	//lint:allow reprolint/allochot cap-guarded doubling; reallocation amortises across messages
 	return make([]float64, n, roundCap(n, 8))
 }
 

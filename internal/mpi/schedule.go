@@ -165,10 +165,8 @@ func (w *World) slotFor(ctx uint64, p int) *slot {
 	if s := w.findSlot(ctx); s != nil {
 		return s
 	}
-	//lint:allow reprolint/allochot pool miss allocates once via New; steady state recycles slots
 	s := slotPool.Get().(*slot)
 	if cap(s.ranks) < p {
-		//lint:allow reprolint/allochot once per pooled slot and communicator size
 		s.ranks = make([]slotRank, p)
 	}
 	s.ctx, s.next, s.ranks = ctx, w.slots.Load(), s.ranks[:p]

@@ -41,7 +41,6 @@ func (q *Queue) Len() int { return len(q.h) }
 
 // Push inserts an event.
 func (q *Queue) Push(e Event) {
-	//lint:allow reprolint/allochot amortised heap growth; the backing array is retained and reused across runs
 	q.h = append(q.h, e)
 	i := len(q.h) - 1
 	for i > 0 {

@@ -142,3 +142,31 @@ func TestQueueQuickProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQueueSteadyStateAllocFree: the facility pushes and pops one event
+// per job transition, so on a warmed queue (backing array already grown)
+// Push, Pop and Min allocate nothing.
+func TestQueueSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are asserted on the uninstrumented build")
+	}
+	rng := rand.New(rand.NewSource(2))
+	evs := make([]Event, 256)
+	for i := range evs {
+		evs[i] = Event{Time: float64(rng.Intn(32)), Rank: rng.Intn(4), Seq: uint64(i)}
+	}
+	var q Queue
+	cycle := func() {
+		for _, e := range evs {
+			q.Push(e)
+		}
+		for q.Len() > 0 {
+			q.Min()
+			q.Pop()
+		}
+	}
+	cycle()
+	if a := testing.AllocsPerRun(10, cycle); a != 0 {
+		t.Errorf("warmed queue: %v allocs per %d push/min/pop cycles; want 0", a, len(evs))
+	}
+}

@@ -68,11 +68,11 @@ const (
 )
 
 // LintSweepBudgetNs bounds the reprolint whole-module sweep — load,
-// type-check and all analyzers including the interprocedural facts
-// walk, measured in-process by `cmd/bench -lint-bench` and recorded in
-// the bench history as "lint/reprolint-sweep". The static-analysis gate
-// runs on every commit, so its own latency is a tracked performance
-// surface: an analyzer that goes accidentally quadratic in module size
+// type-check and all seven analyzers, measured in-process by
+// `cmd/bench -lint-bench` and recorded in the bench history as
+// "lint/reprolint-sweep". The static-analysis gate runs on every
+// commit, so its own latency is a tracked performance surface: an
+// analyzer that goes accidentally quadratic in module size
 // fails verify here rather than silently doubling every CI run.
 // Committed with generous headroom (wall time of a cold sweep is
 // noisier than a microbenchmark: export-data cache state and CI
