@@ -1,7 +1,9 @@
 package facility
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -64,28 +66,77 @@ func TestReleaseProfileAllocFree(t *testing.T) {
 // TestRunStreamAllocsFlatInJobs bounds the whole event loop, where the
 // scheduling pass (scheduleHeap, popFresh, backfillHeap) runs once per
 // event: 4x the jobs may only add the amortised growth of the job-record
-// slab and the retained heap, profile and payload arrays (about 20
-// allocations), where one allocation per pass would add thousands.
+// slab and the retained heap and profile arrays (about 20 allocations),
+// where one allocation per pass would add thousands.
+//
+// It also bounds the bytes allocated: the loop's memory must follow the
+// in-flight set, not the job count. That needs a workload whose
+// in-flight set is stationary — at 90% offered load the queue stays
+// shallow, whereas the overloaded count workload's backlog (pending
+// records and heap entries) legitimately grows with its length — so
+// from 2k to 8k such jobs the bytes may grow by at most 64 KiB. An event
+// loop that queued every arrival in its event heap, with a side array
+// of completion records indexed by sequence number, grew by 868,352
+// bytes here; streaming arrivals grows by 0.
 func TestRunStreamAllocsFlatInJobs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are asserted on the uninstrumented build")
 	}
 	cfg := Config{Slots: [NumPools]int{512}, Backfill: true, Fairshare: true}
-	allocs := func(jobs []Job) float64 {
-		return testing.AllocsPerRun(2, func() {
-			f, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.RunStream(jobs, func(Outcome) {}); err != nil {
-				t.Fatal(err)
-			}
-		})
+	run := func(jobs []Job) {
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.RunStream(jobs, func(Outcome) {}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	const tenants, maxGrowth = 20, 64
-	small := allocs(genJobs(t, 5, 2000, tenants, 512))
-	big := allocs(genJobs(t, 5, 8000, tenants, 512))
+	const tenants, maxGrowth, maxByteGrowth = 20, 64, 64 << 10
+	smallJobs, bigJobs := genJobs(t, 5, 2000, tenants, 512), genJobs(t, 5, 8000, tenants, 512)
+	small := testing.AllocsPerRun(2, func() { run(smallJobs) })
+	big := testing.AllocsPerRun(2, func() { run(bigJobs) })
 	if big-small > maxGrowth {
 		t.Errorf("RunStream: %v allocs at 2k jobs, %v at 8k; want growth <= %d", small, big, maxGrowth)
+	}
+
+	// bytes is the smallest TotalAlloc delta over a few runs, so a stray
+	// runtime allocation on another goroutine cannot inflate it.
+	bytes := func(n int) uint64 {
+		jobs, err := Generate(WorkloadSpec{Seed: 5, Jobs: n, Tenants: tenants, Slots: 512, Utilization: 0.9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(jobs) // warm-up
+		best := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(jobs)
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	if small, big := bytes(2000), bytes(8000); big > small+maxByteGrowth {
+		t.Errorf("RunStream: %d bytes allocated at 2k jobs, %d at 8k; want growth <= %d", small, big, maxByteGrowth)
+	}
+}
+
+// TestStreamDigestAllocFree: the streaming digest hashes every outcome
+// of a run, so once its record buffer has grown Observe allocates
+// nothing.
+func TestStreamDigestAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are asserted on the uninstrumented build")
+	}
+	o := Outcome{
+		Job: Job{Tenant: "t0042", Class: "metum", NP: 64, Runtime: 1800, Limit: 2400, Submit: 12.5},
+		Seq: 7, Pool: PoolEC2, State: StateCompleted, Start: 20, End: 1900, Interruptions: 1, Cost: 3.5,
+	}
+	d := NewStreamDigest()
+	d.Observe(o)
+	if a := testing.AllocsPerRun(100, func() { d.Observe(o) }); a != 0 {
+		t.Errorf("warmed StreamDigest.Observe: %v allocs per outcome; want 0", a)
 	}
 }

@@ -7,11 +7,15 @@
 // plane with checkpoint/restart costs charged via iomodel.
 //
 // The simulation is entirely event-driven: arrivals, completions and
-// limit kills are events on a strict-total-order virtual-time heap
-// (pdes.Queue), so a facility run is a pure function of (workload,
-// config) — bit-reproducible at any host parallelism, and compared bit
-// for bit against a small-N strict-FCFS list scheduler (the oracle in
-// oracle_test.go) by the cross-validation tests.
+// limit kills are events under one strict total order in virtual time,
+// so a facility run is a pure function of (workload, config) —
+// bit-reproducible at any host parallelism, and compared bit for bit
+// against a small-N strict-FCFS list scheduler (the oracle in
+// oracle_test.go) by the cross-validation tests. Completions and spot
+// wakes sit on an in-flight-sized heap (pdes.Queue), each carrying its
+// job record; arrivals stream from the job slice in (submit, index)
+// order and are merged with the heap minimum, so the event loop's
+// memory follows the in-flight set, not the workload length.
 //
 // The scheduler keeps incremental structures — a lazily re-keyed
 // pending heap, a maintained release profile for EASY reservations, and
@@ -22,8 +26,10 @@
 package facility
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -369,24 +375,34 @@ func newMetrics(reg *obs.Registry) metrics {
 	}
 }
 
-// Facility is one simulation instance. Not safe for concurrent use;
-// distinct facilities are independent (the race stress test runs many
-// at once against a shared read-only broker).
+// Facility is one simulation instance. It is single-use: one Run or
+// RunStream per Facility (a second call returns an error; build a new
+// one with New). Not safe for concurrent use; distinct facilities are
+// independent (the race stress test runs many at once against a shared
+// read-only broker).
 type Facility struct {
 	cfg   Config
 	pools [NumPools]*poolState
 	share *shareTracker
 	met   metrics
 
-	queue pdes.Queue
-	// jobs is the run's input; arrival events carry Seq < len(jobs) and
-	// index straight into it. payload carries completion/wake records at
-	// Seq - len(jobs) — together they reproduce the exact tie-breaking
-	// Seq sequence the original single-payload encoding assigned.
-	jobs    []Job
-	payload []*jobRec
-	clock   float64
-	events  int
+	// queue holds the in-flight events — completions and wakes, each
+	// carrying its record. Arrivals never enter it: they stream from
+	// jobs in (Submit, index) order and are merged with the queue
+	// minimum under the same Event.Less order (nextEvent).
+	queue pdes.Queue[*jobRec]
+	// jobs is the run's input; an arrival event's Seq is its job index.
+	// arrivals is nil when jobs is already submit-ordered (the cursor
+	// walks the slice in place), else the stable index sort by Submit;
+	// next is the cursor. pushed counts queued events, whose Seqs
+	// continue past the arrival block at len(jobs).
+	jobs     []Job
+	arrivals []int
+	next     int
+	pushed   uint64
+	ran      bool // set by the first Run/RunStream: a Facility is single-use
+	clock    float64
+	events   int
 
 	emit     func(Outcome)
 	finished int
@@ -424,26 +440,30 @@ func (f *Facility) Run(jobs []Job) (*Result, error) {
 
 // RunStream simulates the whole workload, calling emit exactly once per
 // job — in completion order — instead of materialising a Result. Job
-// records are recycled after emission, so memory is bounded by the
-// in-flight set plus one event per job: the mode the 10^6-job E15
-// artefact runs in. Run is RunStream collecting into a slice; the two
-// are outcome-for-outcome identical.
+// records are recycled after emission and arrivals are read straight
+// from jobs, so memory beyond the input is bounded by the in-flight set:
+// the mode the 10^6-job E15 artefact runs in. Run is RunStream
+// collecting into a slice; the two are outcome-for-outcome identical.
 func (f *Facility) RunStream(jobs []Job, emit func(Outcome)) (StreamResult, error) {
+	if f.ran {
+		return StreamResult{}, fmt.Errorf("facility: Run called twice on one Facility; build a new one with New")
+	}
+	f.ran = true
 	for i, j := range jobs {
 		if err := f.validateJob(j); err != nil {
 			return StreamResult{}, fmt.Errorf("facility: job %d: %w", i, err)
 		}
 	}
 	f.jobs = jobs
+	f.arrivals = arrivalOrder(jobs)
 	f.emit = emit
 	f.met.submitted.Add(int64(len(jobs)))
-	for i, j := range jobs {
-		f.queue.Push(pdes.Event{Time: j.Submit, Rank: kindArrive, Seq: uint64(i)})
-	}
 
-	n := uint64(len(jobs))
-	for f.queue.Len() > 0 {
-		e := f.queue.Pop()
+	for {
+		e, ok := f.nextEvent()
+		if !ok {
+			break
+		}
 		if e.Time < f.clock {
 			return StreamResult{}, fmt.Errorf("facility: virtual clock regressed %g -> %g", f.clock, e.Time)
 		}
@@ -457,10 +477,8 @@ func (f *Facility) RunStream(jobs []Job, emit func(Outcome)) (StreamResult, erro
 			f.enqueue(f.pools[pool], rec)
 			f.schedule(f.pools[pool])
 		case kindComplete:
-			rec := f.payload[e.Seq-n]
-			f.payload[e.Seq-n] = nil
-			pool := rec.pool
-			f.complete(rec)
+			pool := e.Data.pool
+			f.complete(e.Data)
 			f.schedule(f.pools[pool])
 		case kindWake:
 			f.schedule(f.pools[PoolEC2])
@@ -471,6 +489,48 @@ func (f *Facility) RunStream(jobs []Job, emit func(Outcome)) (StreamResult, erro
 	}
 	f.cfg.Meter.Add(f.clock)
 	return StreamResult{Jobs: len(jobs), Clock: f.clock, Events: f.events}, nil
+}
+
+// arrivalOrder returns nil when jobs is already non-decreasing in Submit
+// (every generated workload), else the job indices stably sorted by
+// Submit: the (Submit, index) order arrivals are processed in. Submits
+// are validated finite first, so the sort never sees a NaN.
+func arrivalOrder(jobs []Job) []int {
+	sorted := true
+	for i := 1; i < len(jobs) && sorted; i++ {
+		sorted = jobs[i].Submit >= jobs[i-1].Submit
+	}
+	if sorted {
+		return nil
+	}
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(jobs[a].Submit, jobs[b].Submit) })
+	return order
+}
+
+// nextEvent removes and returns the earliest pending event under
+// Event.Less: the cursor's next arrival or the queue minimum, whichever
+// orders first; ok is false once both are exhausted.
+func (f *Facility) nextEvent() (e pdes.Event[*jobRec], ok bool) {
+	top, queued := f.queue.Min()
+	if f.next < len(f.jobs) {
+		i := f.next
+		if f.arrivals != nil {
+			i = f.arrivals[i]
+		}
+		arrive := pdes.Event[*jobRec]{Time: f.jobs[i].Submit, Rank: kindArrive, Seq: uint64(i)}
+		if !queued || arrive.Less(top) {
+			f.next++
+			return arrive, true
+		}
+	}
+	if !queued {
+		return top, false
+	}
+	return f.queue.Pop(), true
 }
 
 func (f *Facility) validateJob(j Job) error {
@@ -521,12 +581,12 @@ func (f *Facility) alloc(i int) *jobRec {
 	return rec
 }
 
-// pushLater schedules a completion or wake event. Payload indices start
-// after the arrival block, keeping every event's tie-breaking Seq equal
-// to the original encoding's payload index.
+// pushLater schedules a completion or wake event carrying rec. Its Seq
+// continues past the arrival block (arrival Seqs are job indices), so
+// stamps stay unique across both event sources.
 func (f *Facility) pushLater(at float64, kind int, rec *jobRec) {
-	f.payload = append(f.payload, rec)
-	f.queue.Push(pdes.Event{Time: at, Rank: kind, Seq: uint64(len(f.jobs) + len(f.payload) - 1)})
+	f.queue.Push(pdes.Event[*jobRec]{Time: at, Rank: kind, Seq: uint64(len(f.jobs)) + f.pushed, Data: rec})
+	f.pushed++
 }
 
 // enqueue adds rec to its pool's pending set and the queued-work
@@ -572,7 +632,14 @@ func (f *Facility) complete(rec *jobRec) {
 	} else if p.id == PoolHPC {
 		p.profile.remove(f.releaseAt(rec), rec.seq)
 	}
-	f.share.charge(rec.job.Tenant, f.clock, rec.charge*float64(rec.job.NP))
+	// Charge through the account the fairshare heap scheduler cached on
+	// enqueue, else look the tenant up. Only fairshare may set rec.acct:
+	// the heap scheduler reads a non-nil acct as a fairshare key.
+	acct := rec.acct
+	if acct == nil {
+		acct = f.share.acct(rec.job.Tenant)
+	}
+	f.share.charge(acct, f.clock, rec.charge*float64(rec.job.NP))
 	if rec.state == StateKilled {
 		f.met.killed.Inc()
 	} else {

@@ -351,6 +351,38 @@ func TestJobValidation(t *testing.T) {
 	}
 }
 
+// TestRunErrorMessages pins what a failed run says. Reusing a Facility
+// must name the single-use contract, not a symptom of the first run's
+// leftover state (which read as a virtual-clock regression).
+func TestRunErrorMessages(t *testing.T) {
+	jobs, err := Generate(WorkloadSpec{Seed: 1, Jobs: 50, Tenants: 5, Slots: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		runs [][]Job // each run on the same Facility; the last must fail
+		want string
+	}{
+		{"second run", [][]Job{jobs, jobs},
+			"facility: Run called twice on one Facility; build a new one with New"},
+		{"run after a rejected run", [][]Job{{{Tenant: "", NP: 1, Runtime: 1}}, jobs},
+			"facility: Run called twice on one Facility; build a new one with New"},
+	}
+	for _, c := range cases {
+		f, err := New(Config{Slots: [NumPools]int{64}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range c.runs {
+			_, err = f.Run(run)
+		}
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestMetricsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	meter := &sim.Meter{}

@@ -53,10 +53,9 @@ func (s *shareTracker) acct(tenant string) *tenantUsage {
 	return u
 }
 
-// charge bills slot-seconds to the tenant's account at time t, folding
+// charge bills slot-seconds to account u (from acct) at time t, folding
 // the decay since the previous charge into the stored value.
-func (s *shareTracker) charge(tenant string, t, slotSeconds float64) {
-	u := s.acct(tenant)
+func (s *shareTracker) charge(u *tenantUsage, t, slotSeconds float64) {
 	if t > u.at {
 		u.value *= math.Exp2(-(t - u.at) / s.half)
 		u.at = t

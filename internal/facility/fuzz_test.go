@@ -86,11 +86,7 @@ func fuzzConfig(knobs []byte) Config {
 // run to completion — no panics, no stuck jobs — and the run must be
 // deterministic (identical digests on a rerun).
 func FuzzFacility(f *testing.F) {
-	seedTrace := func(seed uint64, n int, knobs byte) []byte {
-		jobs, err := Generate(WorkloadSpec{Seed: seed, Jobs: n, Tenants: 5, Slots: 16})
-		if err != nil {
-			panic(err)
-		}
+	jobsTrace := func(jobs []Job, seed uint64, knobs byte) []byte {
 		buf := make([]byte, 8)
 		buf[3] = knobs
 		binary.BigEndian.PutUint32(buf[4:], uint32(seed))
@@ -99,11 +95,25 @@ func FuzzFacility(f *testing.F) {
 		buf[2] = 16
 		return append(buf, FormatTrace(jobs)...)
 	}
+	seedTrace := func(seed uint64, n int, knobs byte) []byte {
+		jobs, err := Generate(WorkloadSpec{Seed: seed, Jobs: n, Tenants: 5, Slots: 16})
+		if err != nil {
+			panic(err)
+		}
+		return jobsTrace(jobs, seed, knobs)
+	}
 	f.Add(seedTrace(1, 20, 0))
 	f.Add(seedTrace(2, 40, 1))
 	f.Add(seedTrace(3, 30, 3))
 	f.Add(seedTrace(4, 25, 7))
 	f.Add(seedTrace(5, 35, 15))
+	// Out-of-order and tied arrivals (see arrivalOrderInputs), which no
+	// generated trace exercises.
+	for i, in := range arrivalOrderInputs(f) {
+		if in.name == "reversed" || in.name == "tied" {
+			f.Add(jobsTrace(in.jobs, uint64(6+i), 15))
+		}
+	}
 	f.Add([]byte{16, 0, 0, 0, 0, 0, 0, 0, 't', ' ', 'e', 'p', ' ', '1', ' ', '5', ' ', '5', ' ', '0', '\n'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 8 {

@@ -210,8 +210,8 @@ func TestQuickFairshareUsageDecays(t *testing.T) {
 		a, b := float64(aRaw)+1, float64(bRaw)+1
 		dt := float64(dtRaw) * 100
 		s := newShareTracker(3600, nil)
-		s.charge("a", 0, a)
-		s.charge("b", 0, b)
+		s.charge(s.acct("a"), 0, a)
+		s.charge(s.acct("b"), 0, b)
 		ua0, ub0 := s.usageAt("a", 0), s.usageAt("b", 0)
 		ua1, ub1 := s.usageAt("a", dt), s.usageAt("b", dt)
 		if (ua0 > ub0) != (ua1 > ub1) && ua1 != ub1 {

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"math"
 	"sort"
 )
@@ -93,40 +92,29 @@ func percentile(vals []float64, p float64) float64 {
 // determinism tests compare these.
 func Digest(res *Result) string {
 	h := sha256.New()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	w64(math.Float64bits(res.Clock))
-	w64(uint64(res.Events))
+	buf := binary.BigEndian.AppendUint64(nil, math.Float64bits(res.Clock))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(res.Events))
+	h.Write(buf)
 	for _, o := range res.Outcomes {
-		hashOutcome(h, &buf, o)
+		buf = appendOutcome(buf[:0], o)
+		h.Write(buf)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// hashOutcome writes one outcome's exact bit pattern to h (shared by
-// Digest and the streaming StreamDigest).
-func hashOutcome(h hash.Hash, buf *[8]byte, o Outcome) {
-	w64 := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+// appendOutcome appends one outcome's exact bit pattern to b — the
+// record Digest and the streaming StreamDigest hash, one Write each.
+func appendOutcome(b []byte, o Outcome) []byte {
+	be := binary.BigEndian
+	b = append(b, o.Tenant...)
+	b = append(b, 0)
+	b = append(b, o.Class...)
+	b = append(b, 0, byte(o.Pool), byte(o.State))
+	b = be.AppendUint64(b, uint64(o.Seq))
+	b = be.AppendUint64(b, uint64(o.NP))
+	b = be.AppendUint64(b, uint64(o.Interruptions))
+	for _, v := range [...]float64{o.Runtime, o.Limit, o.Submit, o.Start, o.End, o.Reserved, o.LostWork, o.Cost} {
+		b = be.AppendUint64(b, math.Float64bits(v))
 	}
-	wf := func(v float64) { w64(math.Float64bits(v)) }
-	h.Write([]byte(o.Tenant))
-	h.Write([]byte{0})
-	h.Write([]byte(o.Class))
-	h.Write([]byte{0, byte(o.Pool), byte(o.State)})
-	w64(uint64(o.Seq))
-	w64(uint64(o.NP))
-	w64(uint64(o.Interruptions))
-	wf(o.Runtime)
-	wf(o.Limit)
-	wf(o.Submit)
-	wf(o.Start)
-	wf(o.End)
-	wf(o.Reserved)
-	wf(o.LostWork)
-	wf(o.Cost)
+	return b
 }

@@ -138,7 +138,7 @@ func (s *StreamSummary) Summary() Summary {
 // but each is bit-stable: identical streams produce identical digests.
 type StreamDigest struct {
 	h   hash.Hash
-	buf [8]byte
+	buf []byte // one outcome's record, reused across Observe calls
 }
 
 // NewStreamDigest returns an empty streaming digest.
@@ -146,16 +146,17 @@ func NewStreamDigest() *StreamDigest {
 	return &StreamDigest{h: sha256.New()}
 }
 
-// Observe hashes one outcome's exact bit pattern.
+// Observe hashes one outcome's exact bit pattern. Once the record
+// buffer has grown to the longest outcome it allocates nothing.
 func (d *StreamDigest) Observe(o Outcome) {
-	hashOutcome(d.h, &d.buf, o)
+	d.buf = appendOutcome(d.buf[:0], o)
+	d.h.Write(d.buf)
 }
 
 // Sum seals the digest with the run's clock and event count.
 func (d *StreamDigest) Sum(clock float64, events int) string {
-	binary.BigEndian.PutUint64(d.buf[:], math.Float64bits(clock))
-	d.h.Write(d.buf[:])
-	binary.BigEndian.PutUint64(d.buf[:], uint64(events))
-	d.h.Write(d.buf[:])
+	d.buf = binary.BigEndian.AppendUint64(d.buf[:0], math.Float64bits(clock))
+	d.buf = binary.BigEndian.AppendUint64(d.buf, uint64(events))
+	d.h.Write(d.buf)
 	return fmt.Sprintf("%x", d.h.Sum(nil))
 }

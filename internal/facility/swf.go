@@ -39,8 +39,9 @@ const (
 )
 
 // ParseSWF parses a Standard Workload Format trace into jobs, in file
-// order (SWF traces are submit-ordered; the facility's event heap does
-// not require it). Field mapping:
+// order (SWF traces are submit-ordered; the facility does not require
+// it: RunStream walks unordered submits through a stable sort by submit
+// time). Field mapping:
 //
 //	Submit  <- submit time (field 2)
 //	Runtime <- run time (field 4), falling back to the requested time

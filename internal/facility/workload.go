@@ -134,6 +134,9 @@ func Generate(spec WorkloadSpec) ([]Job, error) {
 		classCum[i] = classTotal
 	}
 
+	// Tenant names are formatted on a tenant's first job and shared by
+	// the rest of its jobs.
+	names := make([]string, spec.Tenants)
 	jobs := make([]Job, spec.Jobs)
 	var demand, at float64
 	for i := range jobs {
@@ -160,8 +163,11 @@ func Generate(spec WorkloadSpec) ([]Job, error) {
 			lim = rt * (0.5 + 0.45*limitR.Float64())
 		}
 
+		if names[tenant] == "" {
+			names[tenant] = fmt.Sprintf("t%04d", tenant)
+		}
 		jobs[i] = Job{
-			Tenant:  fmt.Sprintf("t%04d", tenant),
+			Tenant:  names[tenant],
 			Class:   class,
 			NP:      np,
 			Runtime: rt,

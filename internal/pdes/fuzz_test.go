@@ -8,15 +8,16 @@ import (
 // pushes and pops decoded from the fuzz input and checks it against a
 // model: every pop returns a live event that is minimal (under
 // Event.Less) among the events currently queued, and a full drain at the
-// end comes out exactly sorted.
+// end comes out exactly sorted. Every event carries its tag payload,
+// which must come back out with it.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{255, 0, 255, 0, 7, 7, 7})
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var q Queue
+		var q Queue[string]
 		var seq uint64
-		live := map[Event]int{} // multiset of queued events
+		live := map[testEvent]int{} // multiset of queued events, payload included
 		nlive := 0
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
@@ -33,7 +34,7 @@ func FuzzEventQueue(f *testing.F) {
 			} else {
 				// Narrow domains on time and rank so ties are common and
 				// the (rank, seq) tie-break carries real weight.
-				e := Event{Time: float64(arg % 5), Rank: int(arg % 7), Seq: seq}
+				e := ev(float64(arg%5), int(arg%7), seq)
 				seq++
 				q.Push(e)
 				live[e]++
@@ -43,7 +44,7 @@ func FuzzEventQueue(f *testing.F) {
 		if q.Len() != nlive {
 			t.Fatalf("queue length %d, model has %d live events", q.Len(), nlive)
 		}
-		var prev Event
+		var prev testEvent
 		for i := 0; q.Len() > 0; i++ {
 			e := q.Pop()
 			if i > 0 && e.Less(prev) {

@@ -2,7 +2,11 @@
 // facility's discrete-event loop (package facility): a binary min-heap of
 // events ordered by virtual time with (rank, seq) tie-breaking, so the
 // pop sequence — and therefore every observable result — depends only on
-// the events pushed, never on wall-clock scheduling.
+// the events pushed, never on wall-clock scheduling. Each event carries
+// a caller-typed payload that the order ignores, so the caller needs no
+// side table from sequence numbers to records. The facility keeps only
+// in-flight events here (completions and wakes) and merges its arrivals
+// in from the job slice under the same order, via Min.
 package pdes
 
 // Event is one scheduled occurrence. Time is its virtual time; Rank
@@ -10,17 +14,18 @@ package pdes
 // there, so completions precede arrivals); Seq is a caller-issued
 // creation stamp that makes the order total. All three must be
 // deterministic functions of the simulated program, never of wall-clock
-// scheduling.
-type Event struct {
+// scheduling. Data is the caller's payload; the order ignores it.
+type Event[T any] struct {
 	Time float64
 	Rank int
 	Seq  uint64
+	Data T
 }
 
 // Less is the queue's strict total order: virtual time, then rank, then
 // creation stamp. Two distinct events never compare equal because Seq is
 // unique per queue.
-func (e Event) Less(o Event) bool {
+func (e Event[T]) Less(o Event[T]) bool {
 	if e.Time != o.Time {
 		return e.Time < o.Time
 	}
@@ -32,15 +37,15 @@ func (e Event) Less(o Event) bool {
 
 // Queue is a binary min-heap of events under Event.Less. The zero value
 // is an empty queue ready for use. It is not synchronised.
-type Queue struct {
-	h []Event
+type Queue[T any] struct {
+	h []Event[T]
 }
 
 // Len returns the number of queued events.
-func (q *Queue) Len() int { return len(q.h) }
+func (q *Queue[T]) Len() int { return len(q.h) }
 
 // Push inserts an event.
-func (q *Queue) Push(e Event) {
+func (q *Queue[T]) Push(e Event[T]) {
 	q.h = append(q.h, e)
 	i := len(q.h) - 1
 	for i > 0 {
@@ -55,11 +60,11 @@ func (q *Queue) Push(e Event) {
 
 // Pop removes and returns the minimum event. It panics on an empty queue
 // (a caller invariant violation, not a recoverable condition).
-func (q *Queue) Pop() Event {
+func (q *Queue[T]) Pop() Event[T] {
 	min := q.h[0]
 	last := len(q.h) - 1
 	q.h[0] = q.h[last]
-	q.h[last] = Event{}
+	q.h[last] = Event[T]{} // release the payload reference
 	q.h = q.h[:last]
 	q.siftDown(0)
 	return min
@@ -67,14 +72,14 @@ func (q *Queue) Pop() Event {
 
 // Min returns the minimum event without removing it; ok is false when the
 // queue is empty.
-func (q *Queue) Min() (min Event, ok bool) {
+func (q *Queue[T]) Min() (min Event[T], ok bool) {
 	if len(q.h) == 0 {
-		return Event{}, false
+		return Event[T]{}, false
 	}
 	return q.h[0], true
 }
 
-func (q *Queue) siftDown(i int) {
+func (q *Queue[T]) siftDown(i int) {
 	n := len(q.h)
 	for {
 		l, r := 2*i+1, 2*i+2

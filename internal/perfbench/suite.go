@@ -45,12 +45,13 @@ const (
 	budgetOSU = 128 // measured 46 pooled; 240 pre-pooling
 	// Facility runs allocate per tenant and per slab chunk, not per job
 	// or per event: the incremental scheduler recycles job records
-	// through a freelist and the pending heap, release profile and
-	// event queue all reuse their backing arrays. The budgets scale far
+	// through a freelist, the pending heap, release profile and event
+	// queue all reuse their backing arrays, and arrivals stream from the
+	// job slice instead of the event queue. The budgets scale far
 	// slower than 10x between the two sizes; a regression back to
 	// per-pass sorting copies or per-job allocation blows through them.
-	budgetFac10k  = 2400  // measured ~1090: tenant accounts + map growth dominate
-	budgetFac100k = 20000 // measured ~9900: ~0.1 allocs per job
+	budgetFac10k  = 2400  // measured ~1060: tenant accounts + map growth dominate
+	budgetFac100k = 20000 // measured ~9820: ~0.1 allocs per job
 )
 
 // Wall-clock budgets (ns/op, measured by testing.Benchmark and checked
@@ -63,8 +64,10 @@ const (
 // bench` and copying the new measurements here at ~2x (see README,
 // "Continuous performance").
 const (
-	nsBudgetFac10k  = 15e6  // measured ~7.2ms on the reference machine
-	nsBudgetFac100k = 170e6 // measured ~84ms on the reference machine
+	// Measured on a 2-CPU host; the figures in parentheses are the same
+	// host's before arrivals streamed from the job slice.
+	nsBudgetFac10k  = 15e6  // measured ~5.6ms (~10ms)
+	nsBudgetFac100k = 170e6 // measured ~60ms (~120ms)
 )
 
 // LintSweepBudgetNs bounds the reprolint whole-module sweep — load,
