@@ -1,0 +1,56 @@
+package repro
+
+import (
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestCLIRejectsBadArgs runs the built application binaries with
+// arguments they must refuse before simulating anything: each has to
+// exit with status 1 and a message naming the bad input, never a Go
+// panic. Skipped in -short mode and under the race detector, like
+// TestReproSmokeManifest.
+func TestCLIRejectsBadArgs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("binary builds skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("binary builds skipped under the race detector")
+	}
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skipf("go tool not on PATH: %v", err)
+	}
+	dir := t.TempDir()
+	build := exec.Command(gobin, "build", "-o", dir, "./cmd/chaste", "./cmd/metum", "./cmd/npb")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	cases := []struct {
+		bin  string
+		args []string
+		want string
+	}{
+		{"chaste", []string{"-np", "0"}, "chaste: -np must be at least 1, got 0"},
+		{"chaste", []string{"-np", "-1"}, "chaste: -np must be at least 1, got -1"},
+		{"metum", []string{"-np", "0"}, "metum: -np must be at least 1, got 0"},
+		{"npb", []string{"-bench", "zz"}, `npb: unknown kernel "zz" (want bt, cg, ep, ft, is, lu, mg, sp)`},
+		{"npb", []string{"-bench", "zz", "-np", "3"}, `npb: unknown kernel "zz"`},
+	}
+	for _, tc := range cases {
+		out, err := exec.Command(filepath.Join(dir, tc.bin), tc.args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s %v: err %v, want exit status 1\n%s", tc.bin, tc.args, err, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s %v: output lacks %q:\n%s", tc.bin, tc.args, tc.want, out)
+		}
+		if strings.Contains(string(out), "panic:") {
+			t.Errorf("%s %v panicked:\n%s", tc.bin, tc.args, out)
+		}
+	}
+}

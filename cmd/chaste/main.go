@@ -32,6 +32,9 @@ func main() {
 	sink := trace.AddFlag()
 	flag.Parse()
 	start := time.Now()
+	if *np < 1 {
+		fatal(fmt.Errorf("-np must be at least 1, got %d", *np))
+	}
 
 	p, err := platform.ByName(*platName)
 	if err != nil {

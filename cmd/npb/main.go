@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,6 +53,11 @@ func main() {
 	class, err := npb.ParseClass(*className)
 	if err != nil {
 		fatal(err)
+	}
+	if !slices.Contains(npb.Names(), *bench) {
+		kernels := slices.Clone(npb.Names())
+		slices.Sort(kernels)
+		fatal(fmt.Errorf("unknown kernel %q (want %s)", *bench, strings.Join(kernels, ", ")))
 	}
 	nps, err := parseNPs(*npList)
 	if err != nil {

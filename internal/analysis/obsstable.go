@@ -31,7 +31,7 @@ var (
 	feedMethods = map[string]bool{
 		"Add": true, "AddSeconds": true, "Inc": true,
 		"Set": true, "SetMax": true,
-		"Observe": true, "ObserveSeconds": true,
+		"Observe": true, "ObserveSeconds": true, "Merge": true,
 	}
 	// volatileNameRe spots wall-clock-ish sources syntactically: the
 	// repository's naming discipline makes wall/pool data self-identifying

@@ -198,12 +198,13 @@ func (w *WorkloadProfile) Predict(target *platform.Platform) Prediction {
 		link = target.Intra
 		share = 1
 	}
+	div := link.ShareDivisor(share)
 	for _, name := range w.callNames() {
 		cs := w.Calls[name]
 		perRankEvents := float64(cs.Count) / float64(w.NP)
 		perRankBytes := float64(cs.Bytes) / float64(w.NP)
 		r := rounds(name, w.NP)
-		_, delay := link.TransferShared(nil, int(w.AvgMsgBytes), share)
+		_, delay := link.TransferDivided(nil, int(w.AvgMsgBytes), div)
 		latencyTerm := perRankEvents * r * delay
 		bwTerm := perRankBytes * r / (link.Bandwidth / share)
 		pred.Comm += latencyTerm + bwTerm

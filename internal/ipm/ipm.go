@@ -31,44 +31,92 @@ type RegionStats struct {
 	IO      float64
 	Wait    float64 // of Comm: blocked waiting for peers (late sender / straggler)
 	Queued  float64 // messages for this rank sat unmatched this long
-	Calls   map[string]*CallStats
 }
 
 // Wall returns the accounted virtual time in the region.
 func (r *RegionStats) Wall() float64 { return r.Comm + r.Compute + r.IO }
 
+// callEntry is one call name's statistics in a callTable.
+type callEntry struct {
+	name  string
+	stats CallStats
+}
+
+// callTable holds per-name call statistics in first-seen order. A rank
+// issues a handful of distinct call names, so a scan by name — usually
+// a pointer-equal string compare — beats hashing the name on every call.
+type callTable []callEntry
+
+// add counts one call into the entry for its name.
+func (ct *callTable) add(rec *mpi.CallRecord) {
+	i := 0
+	for i < len(*ct) && (*ct)[i].name != rec.Name {
+		i++
+	}
+	if i == len(*ct) {
+		if *ct == nil {
+			*ct = make(callTable, 0, 4) // most regions issue at most four call names
+		}
+		*ct = append(*ct, callEntry{name: rec.Name})
+	}
+	cs := &(*ct)[i].stats
+	cs.Count++
+	cs.Time += rec.Dur
+	cs.Bytes += int64(rec.Bytes)
+}
+
+// regionEntry is one region's accounting on one rank.
+type regionEntry struct {
+	name string
+	RegionStats
+	calls callTable
+}
+
+// findRegion returns the entry named name, or nil.
+func findRegion(regions []*regionEntry, name string) *regionEntry {
+	for _, re := range regions {
+		if re.name == name {
+			return re
+		}
+	}
+	return nil
+}
+
 // rankCollector gathers events for one rank. All events for a rank arrive
-// from that rank's goroutine, so no locking is needed.
+// from that rank's goroutine, so no locking is needed. Nothing on the
+// event path hashes: call names and regions are scanned slices, and the
+// only maps are the ones Snapshot and RegionCalls return.
 type rankCollector struct {
 	region   string
+	cur      *regionEntry // region's entry; nil until its first event
 	comm     float64
 	compute  float64
 	io       float64
 	wait     float64
 	queued   float64
-	calls    map[string]*CallStats
-	regions  map[string]*RegionStats
-	sizeHist map[int]int // log2 bucket -> message count
+	calls    callTable
+	regions  []*regionEntry // regions with activity, in first-event order
+	sizeHist []int          // message count by sizeBucket
 }
 
 func newRankCollector() *rankCollector {
-	rc := &rankCollector{
-		region:   DefaultRegion,
-		calls:    map[string]*CallStats{},
-		regions:  map[string]*RegionStats{},
-		sizeHist: map[int]int{},
-	}
-	rc.regions[DefaultRegion] = &RegionStats{Calls: map[string]*CallStats{}}
+	rc := &rankCollector{region: DefaultRegion}
+	rc.regionStats() // the default region is always reported
 	return rc
 }
 
-func (rc *rankCollector) regionStats() *RegionStats {
-	rs, ok := rc.regions[rc.region]
-	if !ok {
-		rs = &RegionStats{Calls: map[string]*CallStats{}}
-		rc.regions[rc.region] = rs
+// regionStats returns the current region's entry, creating it on the
+// region's first event, so a region entered and left without activity
+// never appears.
+func (rc *rankCollector) regionStats() *regionEntry {
+	if rc.cur == nil {
+		rc.cur = findRegion(rc.regions, rc.region)
 	}
-	return rs
+	if rc.cur == nil {
+		rc.cur = &regionEntry{name: rc.region}
+		rc.regions = append(rc.regions, rc.cur)
+	}
+	return rc.cur
 }
 
 // Profiler implements mpi.Tracer.
@@ -93,36 +141,31 @@ func (p *Profiler) Call(rank int, rec mpi.CallRecord) {
 	rc.comm += rec.Dur
 	rc.wait += rec.Wait
 	rc.queued += rec.Queued
-	upd := func(m map[string]*CallStats) {
-		cs, ok := m[rec.Name]
-		if !ok {
-			cs = &CallStats{}
-			m[rec.Name] = cs
-		}
-		cs.Count++
-		cs.Time += rec.Dur
-		cs.Bytes += int64(rec.Bytes)
+	rc.calls.add(&rec)
+	re := rc.regionStats()
+	re.Comm += rec.Dur
+	re.Wait += rec.Wait
+	re.Queued += rec.Queued
+	re.calls.add(&rec)
+	b := sizeBucket(rec.Bytes)
+	if b >= len(rc.sizeHist) {
+		// Grow once to cover messages up to 16 MiB, or to b.
+		rc.sizeHist = append(rc.sizeHist, make([]int, max(b+1, 25)-len(rc.sizeHist))...)
 	}
-	upd(rc.calls)
-	rs := rc.regionStats()
-	rs.Comm += rec.Dur
-	rs.Wait += rec.Wait
-	rs.Queued += rec.Queued
-	upd(rs.Calls)
-	rc.sizeHist[sizeBucket(rec.Bytes)]++
+	rc.sizeHist[b]++
 }
 
 // Advance implements mpi.Tracer.
 func (p *Profiler) Advance(rank int, kind string, start, dur float64) {
 	rc := p.ranks[rank]
-	rs := rc.regionStats()
+	re := rc.regionStats()
 	switch kind {
 	case "compute":
 		rc.compute += dur
-		rs.Compute += dur
+		re.Compute += dur
 	case "io":
 		rc.io += dur
-		rs.IO += dur
+		re.IO += dur
 	}
 }
 
@@ -131,7 +174,10 @@ func (p *Profiler) Region(rank int, name string, at float64) {
 	if name == "" {
 		name = DefaultRegion
 	}
-	p.ranks[rank].region = name
+	rc := p.ranks[rank]
+	if name != rc.region {
+		rc.region, rc.cur = name, nil
+	}
 }
 
 // sizeBucket returns the log2 bucket index for a message size (0 bytes
@@ -166,8 +212,8 @@ type Profile struct {
 	LostWork        float64 // virtual seconds of discarded progress per rank
 	RestartOverhead float64 // virtual seconds spent restarting per rank
 
-	regions  []map[string]*RegionStats // per rank
-	sizeHist map[int]int               // aggregated
+	regions  [][]*regionEntry // per rank, in first-event order
+	sizeHist []int            // aggregated, by sizeBucket
 }
 
 // SetResilience attaches checkpoint/restart accounting to the profile.
@@ -193,16 +239,15 @@ func (pr *Profile) LostWorkPercent() float64 {
 func (p *Profiler) Snapshot(res *mpi.Result) *Profile {
 	np := len(p.ranks)
 	pr := &Profile{
-		NP:       np,
-		Wall:     append(sim.Series(nil), res.RankTimes...),
-		Comm:     make(sim.Series, np),
-		Comp:     make(sim.Series, np),
-		IO:       make(sim.Series, np),
-		Wait:     make(sim.Series, np),
-		Queued:   make(sim.Series, np),
-		Calls:    map[string]CallStats{},
-		regions:  make([]map[string]*RegionStats, np),
-		sizeHist: map[int]int{},
+		NP:      np,
+		Wall:    append(sim.Series(nil), res.RankTimes...),
+		Comm:    make(sim.Series, np),
+		Comp:    make(sim.Series, np),
+		IO:      make(sim.Series, np),
+		Wait:    make(sim.Series, np),
+		Queued:  make(sim.Series, np),
+		Calls:   map[string]CallStats{},
+		regions: make([][]*regionEntry, np),
 	}
 	for r, rc := range p.ranks {
 		pr.Comm[r] = rc.comm
@@ -211,18 +256,26 @@ func (p *Profiler) Snapshot(res *mpi.Result) *Profile {
 		pr.Wait[r] = rc.wait
 		pr.Queued[r] = rc.queued
 		pr.regions[r] = rc.regions
-		for name, cs := range rc.calls {
-			agg := pr.Calls[name]
-			agg.Count += cs.Count
-			agg.Time += cs.Time
-			agg.Bytes += cs.Bytes
-			pr.Calls[name] = agg
+		addCalls(pr.Calls, rc.calls)
+		if len(rc.sizeHist) > len(pr.sizeHist) {
+			pr.sizeHist = append(pr.sizeHist, make([]int, len(rc.sizeHist)-len(pr.sizeHist))...)
 		}
 		for b, c := range rc.sizeHist {
 			pr.sizeHist[b] += c
 		}
 	}
 	return pr
+}
+
+// addCalls adds one rank's call table into an aggregate keyed by name.
+func addCalls(agg map[string]CallStats, ct callTable) {
+	for _, e := range ct {
+		cs := agg[e.name]
+		cs.Count += e.stats.Count
+		cs.Time += e.stats.Time
+		cs.Bytes += e.stats.Bytes
+		agg[e.name] = cs
+	}
 }
 
 // CommPercent returns the percentage of total walltime spent in
@@ -250,10 +303,10 @@ func (pr *Profile) WaitPercent() float64 {
 func (pr *Profile) RegionWait(name string) (wait, queued sim.Series) {
 	wait = make(sim.Series, pr.NP)
 	queued = make(sim.Series, pr.NP)
-	for r, m := range pr.regions {
-		if rs, ok := m[name]; ok {
-			wait[r] = rs.Wait
-			queued[r] = rs.Queued
+	for r, regions := range pr.regions {
+		if re := findRegion(regions, name); re != nil {
+			wait[r] = re.Wait
+			queued[r] = re.Queued
 		}
 	}
 	return wait, queued
@@ -280,9 +333,9 @@ func (pr *Profile) Time() float64 { return pr.Wall.Max() }
 // RegionNames returns all region labels seen, sorted.
 func (pr *Profile) RegionNames() []string {
 	set := map[string]bool{}
-	for _, m := range pr.regions {
-		for name := range m {
-			set[name] = true
+	for _, regions := range pr.regions {
+		for _, re := range regions {
+			set[re.name] = true
 		}
 	}
 	names := make([]string, 0, len(set))
@@ -300,11 +353,11 @@ func (pr *Profile) Region(name string) (comp, comm, io sim.Series) {
 	comp = make(sim.Series, pr.NP)
 	comm = make(sim.Series, pr.NP)
 	io = make(sim.Series, pr.NP)
-	for r, m := range pr.regions {
-		if rs, ok := m[name]; ok {
-			comp[r] = rs.Compute
-			comm[r] = rs.Comm
-			io[r] = rs.IO
+	for r, regions := range pr.regions {
+		if re := findRegion(regions, name); re != nil {
+			comp[r] = re.Compute
+			comm[r] = re.Comm
+			io[r] = re.IO
 		}
 	}
 	return comp, comm, io
@@ -323,34 +376,23 @@ func (pr *Profile) RegionCommPercent(name string) float64 {
 // RegionCalls aggregates call statistics across ranks for one region.
 func (pr *Profile) RegionCalls(name string) map[string]CallStats {
 	out := map[string]CallStats{}
-	for _, m := range pr.regions {
-		rs, ok := m[name]
-		if !ok {
-			continue
-		}
-		for cn, cs := range rs.Calls {
-			agg := out[cn]
-			agg.Count += cs.Count
-			agg.Time += cs.Time
-			agg.Bytes += cs.Bytes
-			out[cn] = agg
+	for _, regions := range pr.regions {
+		if re := findRegion(regions, name); re != nil {
+			addCalls(out, re.calls)
 		}
 	}
 	return out
 }
 
-// SizeHistogram returns (bucketUpperBytes, count) pairs sorted by size.
+// SizeHistogram returns (bucketUpperBytes, count) pairs sorted by size,
+// for the buckets that hold at least one message.
 func (pr *Profile) SizeHistogram() ([]int, []int) {
-	buckets := make([]int, 0, len(pr.sizeHist))
-	for b := range pr.sizeHist {
-		buckets = append(buckets, b)
-	}
-	sort.Ints(buckets)
-	sizes := make([]int, len(buckets))
-	counts := make([]int, len(buckets))
-	for i, b := range buckets {
-		sizes[i] = BucketBytes(b)
-		counts[i] = pr.sizeHist[b]
+	sizes, counts := []int{}, []int{}
+	for b, c := range pr.sizeHist {
+		if c > 0 {
+			sizes = append(sizes, BucketBytes(b))
+			counts = append(counts, c)
+		}
 	}
 	return sizes, counts
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cpumodel"
 	"repro/internal/netmodel"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -16,6 +17,7 @@ type rankState struct {
 	wrank int // world rank
 	clock float64
 	rng   *sim.RNG
+	tally *rankTally // message metering, in this rank's pooled inbox
 
 	commTime    float64
 	computeTime float64
@@ -56,6 +58,7 @@ func initComm(c *Comm, st *rankState, w *World, rank int, group []int) {
 		wrank:    rank,
 		clock:    w.incStart,
 		rng:      sim.NewRNG(w.Platform.Seed ^ w.seed).Derive(uint64(rank) + 1),
+		tally:    &w.inboxes[rank].tally,
 		deathAt:  math.Inf(1),
 		waitPeer: -1,
 	}
@@ -211,22 +214,6 @@ func (w *World) link(a, b int) *netmodel.Link {
 	return w.Platform.Link(w.Placement.NodeOf[a], w.Placement.NodeOf[b])
 }
 
-// nicShare returns the NIC bandwidth-sharing factor for a message between
-// two world ranks: inter-node messages contend with the other ranks on the
-// busier endpoint node (bulk-synchronous codes communicate simultaneously);
-// intra-node transfers do not cross the NIC.
-func (w *World) nicShare(a, b int) float64 {
-	na, nb := w.Placement.NodeOf[a], w.Placement.NodeOf[b]
-	if na == nb {
-		return 1
-	}
-	ra, rb := w.Placement.RanksPerNode[na], w.Placement.RanksPerNode[nb]
-	if rb > ra {
-		ra = rb
-	}
-	return float64(ra)
-}
-
 func (c *Comm) checkRank(r int, what string) {
 	if r < 0 || r >= len(c.group) {
 		panic(fmt.Sprintf("mpi: %s rank %d out of range [0,%d)", what, r, len(c.group)))
@@ -256,47 +243,55 @@ func (c *Comm) sendMsg(dst, tag int, m *message, bytes int) float64 {
 // sendCost charges this rank's side of one bytes-long message to world
 // rank wdst and returns the message's arrival time at the receiver: the
 // sender's busy time (with the link's jitter drawn from this rank's own
-// stream), the solo/NIC bandwidth share, any fault-plan link degradation
-// and the send counters. The message plane and the collective schedule
+// stream), the NIC bandwidth share, any fault-plan link degradation and
+// the send tally. The message plane and the collective schedule
 // evaluator both charge every message through here, so the two agree
 // bit for bit on clocks, random draws and metrics.
+//
+// Inter-node messages contend for the NIC with the other ranks of the
+// busier endpoint node (bulk-synchronous codes communicate
+// simultaneously), unless the rank is in a solo phase; intra-node
+// copies never cross the NIC. The bandwidth divisor of each contention
+// level comes from the World's per-Run table.
 func (st *rankState) sendCost(wdst, bytes int) float64 {
 	start := st.clock
 	w := st.world
-	link := w.link(st.wrank, wdst)
-	share := w.nicShare(st.wrank, wdst)
-	if st.solo {
-		share = 1
-	}
-	if w.faults != nil && w.Placement.NodeOf[st.wrank] != w.Placement.NodeOf[wdst] {
-		// Inter-node transfers feel the fault plan's link degradation
-		// windows; intra-node copies never cross the degraded fabric.
-		if lf, bf := w.faults.DegradationAt(start); lf > 1 || bf > 1 {
-			dl := link.Degraded(lf, bf)
-			link = &dl
+	pl := w.Placement
+	na, nb := pl.NodeOf[st.wrank], pl.NodeOf[wdst]
+	link, div := w.Platform.Link(na, nb), 1.0
+	if na != nb {
+		if !st.solo {
+			div = w.shareDiv[max(pl.RanksPerNode[na], pl.RanksPerNode[nb])]
+		}
+		if w.faults != nil {
+			// Inter-node transfers feel the fault plan's link degradation
+			// windows; intra-node copies never cross the degraded fabric.
+			if lf, bf := w.faults.DegradationAt(start); lf > 1 || bf > 1 {
+				dl := link.Degraded(lf, bf)
+				link = &dl
+			}
 		}
 	}
-	busy, delay := link.TransferShared(st.rng, bytes, share)
+	busy, delay := link.TransferDivided(st.rng, bytes, div)
 	st.clock += busy
-	w.met.sends.Inc()
-	w.met.sendBytes.Add(int64(bytes))
-	w.met.msgBytes.Observe(int64(bytes))
+	t := st.tally
+	t.sends++
+	t.sendBytes += int64(bytes)
+	t.msgBytes.Observe(int64(bytes))
 	if rv := RendezvousBytes(); rv > 0 && int64(bytes) >= rv {
-		w.met.rendezvous.Inc()
+		t.rendezvous++
 	} else {
-		w.met.eager.Inc()
+		t.eager++
 	}
 	return start + delay
 }
 
-// leaseMessage leases a pooled envelope on behalf of this rank's world,
-// metering pool traffic.
+// leaseMessage leases a pooled envelope, tallying pool traffic.
 func (c *Comm) leaseMessage() *message {
 	m, fresh := newMessage()
-	met := &c.st.world.met
-	met.poolLease.Inc()
+	c.st.tally.poolLease++
 	if fresh {
-		met.poolMiss.Inc()
+		c.st.tally.poolMiss++
 	}
 	return m
 }
@@ -335,14 +330,14 @@ func (c *Comm) recvRaw(src, tag int) *message {
 }
 
 // recvCost accounts one received bytes-long message from world rank wsrc
-// that arrived at virtual time arrive: the receive counters, the
+// that arrived at virtual time arrive: the receive tally, the
 // late-sender wait or late-receiver queueing it implies, the call's
 // waitPeer, and the receive overhead. Like sendCost it is shared by the
 // message plane and the collective schedule evaluator.
 func (st *rankState) recvCost(wsrc, bytes int, arrive float64) {
-	met := &st.world.met
-	met.recvs.Inc()
-	met.recvBytes.Add(int64(bytes))
+	t := st.tally
+	t.recvs++
+	t.recvBytes += int64(bytes)
 	// Classify the wait state before advancing the clock: arrival after
 	// the receive entry is late-sender blocked time, arrival before it
 	// means the message sat queued (late receiver). Neither changes any
@@ -354,12 +349,12 @@ func (st *rankState) recvCost(wsrc, bytes int, arrive float64) {
 			st.maxWait = wait
 			st.waitPeer = wsrc
 		}
-		met.waitNS.AddSeconds(wait)
+		t.waitNS += obs.Nanoseconds(wait)
 		st.clock = arrive
 	} else if arrive < st.clock {
 		queued := st.clock - arrive
 		st.queuedAcc += queued
-		met.queuedNS.AddSeconds(queued)
+		t.queuedNS += obs.Nanoseconds(queued)
 	}
 	st.clock += st.world.link(wsrc, st.wrank).RecvOverhead
 }

@@ -1,6 +1,10 @@
 package mpi
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/obs"
+)
 
 // AnySource and AnyTag are wildcard values for Recv matching. Receives
 // using wildcards are matched in physical arrival order, which is not
@@ -96,6 +100,9 @@ type inbox struct {
 	waiting    bool
 	wctx       uint64
 	wsrc, wtag int
+
+	depth obs.Tally // queue depth at each put; guarded by mu
+	tally rankTally // the owning rank's message metering (see rankTally)
 }
 
 func newInbox() *inbox {
@@ -171,7 +178,7 @@ func (b *inbox) put(w *World, m *message) {
 	}
 	q.push(m)
 	b.npend++
-	w.met.inboxDepth.Observe(int64(b.npend))
+	b.depth.Observe(int64(b.npend))
 	if b.waiting && matches(m, b.wctx, b.wsrc, b.wtag) {
 		// Credit the receiver as running before this put returns: the
 		// sender is running until then, so the running count never
@@ -265,6 +272,15 @@ func (b *inbox) unblock(w *World) {
 		b.waiting = false
 		w.exitBlocked()
 	}
+}
+
+// flush folds the inbox's depth tally and its rank's tally into m and
+// zeroes both for the next Run.
+func (b *inbox) flush(m *worldMetrics) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	m.fold(&b.tally, &b.depth)
+	b.tally, b.depth = rankTally{}, obs.Tally{}
 }
 
 // pending returns the number of queued, unmatched messages: a counter

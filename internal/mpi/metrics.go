@@ -4,8 +4,14 @@ import "repro/internal/obs"
 
 // worldMetrics holds the observability handles of one world. The zero
 // value (no registry attached) carries nil handles, and every obs method
-// is a no-op on nil, so instrumented hot paths never branch on whether
+// is a no-op on nil, so instrumented code never branches on whether
 // metrics are enabled.
+//
+// Per-message traffic does not touch these handles: each rank meters
+// into its own rankTally and the inbox depth tally, and World.Run folds
+// those into the handles once every rank has returned (fold). Rarer
+// events (fault, restart and checkpoint activity) add to the handles
+// directly.
 //
 // Deterministic metrics (counts, bytes, virtual-time nanoseconds rounded
 // per event) register as stable; anything driven by real scheduling
@@ -29,6 +35,39 @@ type worldMetrics struct {
 
 	ckptBytes     *obs.Counter
 	commitStallNS *obs.Counter
+}
+
+// rankTally is one rank's message metering for the Run in flight: plain
+// integers, written only by the rank's own goroutine — or, while the
+// rank is parked at a collective's rendezvous, by the schedule
+// evaluator under the slot lock, exactly like its clock. Virtual-time
+// waits are rounded to nanoseconds per event, as Counter.AddSeconds
+// would, so the folded totals equal per-event metering. It lives in the
+// rank's pooled inbox, not in the per-Run rank state, so it costs no
+// allocation per Run.
+type rankTally struct {
+	sends, recvs         int64
+	sendBytes, recvBytes int64
+	eager, rendezvous    int64
+	waitNS, queuedNS     int64
+	poolLease, poolMiss  int64
+	msgBytes             obs.Tally
+}
+
+// fold adds a rank's tally and its inbox's depth tally to the handles.
+func (m *worldMetrics) fold(t *rankTally, depth *obs.Tally) {
+	m.sends.Add(t.sends)
+	m.recvs.Add(t.recvs)
+	m.sendBytes.Add(t.sendBytes)
+	m.recvBytes.Add(t.recvBytes)
+	m.eager.Add(t.eager)
+	m.rendezvous.Add(t.rendezvous)
+	m.waitNS.Add(t.waitNS)
+	m.queuedNS.Add(t.queuedNS)
+	m.msgBytes.Merge(&t.msgBytes)
+	m.poolLease.Add(t.poolLease)
+	m.poolMiss.Add(t.poolMiss)
+	m.inboxDepth.Merge(depth)
 }
 
 func newWorldMetrics(r *obs.Registry) worldMetrics {
@@ -67,8 +106,10 @@ func newWorldMetrics(r *obs.Registry) worldMetrics {
 
 // WithMetrics attaches an observability registry: the world registers
 // its instruments there and meters message traffic, wait states, pool
-// behaviour and fault/checkpoint activity as it runs. A nil registry
-// changes nothing.
+// behaviour and fault/checkpoint activity. Message-plane counts land in
+// the registry when Run returns — on success, rank failure and deadlock
+// alike — not while it runs; a Run abandoned by the real-time watchdog
+// returns without adding them. A nil registry changes nothing.
 func WithMetrics(r *obs.Registry) Option {
 	return func(w *World) {
 		if r != nil {

@@ -85,6 +85,11 @@ type World struct {
 
 	met worldMetrics // observability handles; zero value = metering off
 
+	// shareDiv[k] is the inter-node link's bandwidth divisor when k ranks
+	// share a NIC (netmodel.Link.ShareDivisor), for every k up to the
+	// placement's most crowded node; Run fills it.
+	shareDiv []float64
+
 	faults      *fault.Plan // nil = no fault injection
 	incStart    float64     // virtual time at which this incarnation's clocks start
 	resumeStep  int         // application step to resume from (0 = fresh start)
@@ -305,6 +310,7 @@ func (w *World) Run(fn func(c *Comm) error) (*Result, error) {
 	for r := 0; r < w.np; r++ {
 		initComm(&comms[r], &states[r], w, r, group)
 	}
+	w.fillShareDivisors()
 	w.releaseSlots()
 	w.sb.quiet = make(chan struct{})
 	w.sb.quiesced.Store(false)
@@ -363,6 +369,7 @@ wait:
 		}
 	}
 
+	w.flushMetrics()
 	w.sb.mu.Lock()
 	failed, failRank, failNode, failAt := w.sb.failed, w.sb.failRank, w.sb.failNode, w.sb.failAt
 	w.sb.mu.Unlock()
@@ -395,6 +402,33 @@ wait:
 	}
 	res.Time = res.RankTimes.Max()
 	return res, nil
+}
+
+// fillShareDivisors computes the inter-node link's bandwidth divisor for
+// every NIC share count the placement can produce, so no send evaluates
+// the share exponent. A degraded link keeps the exponent, so the same
+// divisors serve fault-plan windows.
+func (w *World) fillShareDivisors() {
+	most := 1
+	for _, k := range w.Placement.RanksPerNode {
+		most = max(most, k)
+	}
+	if cap(w.shareDiv) <= most {
+		w.shareDiv = make([]float64, most+1)
+	}
+	w.shareDiv = w.shareDiv[:most+1]
+	for k := range w.shareDiv {
+		w.shareDiv[k] = w.Platform.Inter.ShareDivisor(float64(k))
+	}
+}
+
+// flushMetrics folds every rank's message tallies into the world's
+// metric handles. Run calls it once all rank goroutines have returned,
+// so no rank is still writing its tally.
+func (w *World) flushMetrics() {
+	for _, b := range w.inboxes {
+		b.flush(&w.met)
+	}
 }
 
 // RunOn is a convenience wrapper: place np ranks on p with the Block

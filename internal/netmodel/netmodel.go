@@ -83,21 +83,32 @@ func (l *Link) WireTime(n int) float64 {
 // message arrives arrivalDelay seconds after send start. r may be nil for
 // a noise-free transfer.
 func (l *Link) Transfer(r *sim.RNG, n int) (senderBusy, arrivalDelay float64) {
-	return l.TransferShared(r, n, 1)
+	return l.TransferDivided(r, n, 1)
 }
 
-// TransferShared is Transfer with NIC bandwidth sharing: share is the
-// number of ranks contending for this link's bandwidth (ranks co-located
-// on a node share its NIC). The effective per-rank bandwidth is
-// Bandwidth/share; latency is unaffected. share < 1 is treated as 1.
-func (l *Link) TransferShared(r *sim.RNG, n int, share float64) (senderBusy, arrivalDelay float64) {
+// ShareDivisor returns the factor by which share ranks contending for
+// this link's bandwidth divide it (ranks co-located on a node share its
+// NIC): share^ShareExponent for a positive exponent, else share itself.
+// share < 1 is treated as 1. The divisor depends only on share and
+// ShareExponent, so a caller whose share counts come from a fixed
+// placement computes each one once and passes it to TransferDivided;
+// Degraded keeps the exponent, so a degraded copy of the link shares the
+// same divisors.
+func (l *Link) ShareDivisor(share float64) float64 {
 	if share < 1 {
-		share = 1
+		return 1
 	}
 	if l.ShareExponent > 0 && share > 1 {
-		share = math.Pow(share, l.ShareExponent)
+		return math.Pow(share, l.ShareExponent)
 	}
-	ser := float64(n) / (l.Bandwidth / share)
+	return share
+}
+
+// TransferDivided is Transfer with NIC bandwidth sharing: the effective
+// per-rank bandwidth is Bandwidth/div, where div is a ShareDivisor
+// result; latency is unaffected.
+func (l *Link) TransferDivided(r *sim.RNG, n int, div float64) (senderBusy, arrivalDelay float64) {
+	ser := float64(n) / (l.Bandwidth / div)
 	senderBusy = l.SendOverhead + ser
 	wire := l.Latency + ser
 	if l.EagerLimit > 0 && n > l.EagerLimit {

@@ -195,10 +195,10 @@ func TestShareExponentCollapsesSoftwareNICs(t *testing.T) {
 	dcc := GigEVSwitch()
 	ib := QDRInfiniBand()
 	const n = 1 << 20
-	_, d1 := dcc.TransferShared(nil, n, 1)
-	_, d8 := dcc.TransferShared(nil, n, 8)
-	_, i1 := ib.TransferShared(nil, n, 1)
-	_, i8 := ib.TransferShared(nil, n, 8)
+	_, d1 := dcc.TransferDivided(nil, n, dcc.ShareDivisor(1))
+	_, d8 := dcc.TransferDivided(nil, n, dcc.ShareDivisor(8))
+	_, i1 := ib.TransferDivided(nil, n, ib.ShareDivisor(1))
+	_, i8 := ib.TransferDivided(nil, n, ib.ShareDivisor(8))
 	dccRatio := d8 / d1
 	ibRatio := i8 / i1
 	if dccRatio < 20 {
@@ -211,9 +211,29 @@ func TestShareExponentCollapsesSoftwareNICs(t *testing.T) {
 
 func TestShareBelowOneClamped(t *testing.T) {
 	l := TenGigEXen()
-	_, a := l.TransferShared(nil, 4096, 0.5)
-	_, b := l.TransferShared(nil, 4096, 1)
+	_, a := l.TransferDivided(nil, 4096, l.ShareDivisor(0.5))
+	_, b := l.TransferDivided(nil, 4096, l.ShareDivisor(1))
 	if a != b {
 		t.Fatal("share < 1 must behave as 1")
+	}
+}
+
+func TestShareDivisor(t *testing.T) {
+	dcc, ib := GigEVSwitch(), QDRInfiniBand()
+	for _, k := range []float64{2, 3, 8, 16} {
+		if got, want := dcc.ShareDivisor(k), math.Pow(k, dcc.ShareExponent); got != want {
+			t.Errorf("DCC divisor at share %g = %g, want %g", k, got, want)
+		}
+		if got := ib.ShareDivisor(k); got != k {
+			t.Errorf("IB divisor at share %g = %g, want %g (fair sharing)", k, got, k)
+		}
+		if deg := dcc.Degraded(2, 3); deg.ShareDivisor(k) != dcc.ShareDivisor(k) {
+			t.Errorf("a degraded link must share the healthy link's divisors")
+		}
+	}
+	for _, share := range []float64{0, 0.5, 1} {
+		if dcc.ShareDivisor(share) != 1 || ib.ShareDivisor(share) != 1 {
+			t.Errorf("share %g must divide by 1", share)
+		}
 	}
 }

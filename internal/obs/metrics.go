@@ -70,7 +70,13 @@ func (c *Counter) Inc() { c.Add(1) }
 // AddSeconds adds a duration expressed in seconds, stored as integer
 // nanoseconds. Rounding happens per event, before accumulation, so sums
 // commute and stay deterministic under concurrency.
-func (c *Counter) AddSeconds(s float64) { c.Add(int64(math.Round(s * 1e9))) }
+func (c *Counter) AddSeconds(s float64) { c.Add(Nanoseconds(s)) }
+
+// Nanoseconds rounds a duration in seconds to integer nanoseconds, the
+// per-event rounding every *Seconds method applies. Code that batches
+// durations before feeding a metric rounds each one with it, so the
+// batched total equals the per-event one.
+func Nanoseconds(s float64) int64 { return int64(math.Round(s * 1e9)) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 {
@@ -129,6 +135,14 @@ type Histogram struct {
 	buckets [65]atomic.Int64
 }
 
+// bucketOf returns the index of the bucket holding v.
+func bucketOf(v int64) int {
+	if v <= 0 {
+		return 0
+	}
+	return bits.Len64(uint64(v))
+}
+
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
@@ -136,15 +150,44 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.count.Add(1)
 	h.sum.Add(v)
-	i := 0
-	if v > 0 {
-		i = bits.Len64(uint64(v))
-	}
-	h.buckets[i].Add(1)
+	h.buckets[bucketOf(v)].Add(1)
 }
 
 // ObserveSeconds records a duration in seconds as integer nanoseconds.
-func (h *Histogram) ObserveSeconds(s float64) { h.Observe(int64(math.Round(s * 1e9))) }
+func (h *Histogram) ObserveSeconds(s float64) { h.Observe(Nanoseconds(s)) }
+
+// Merge adds every observation of t to h, one atomic add per non-empty
+// bucket. Integer adds commute, so observing values into tallies and
+// merging those equals observing the values into h directly.
+func (h *Histogram) Merge(t *Tally) {
+	if h == nil || t.count == 0 {
+		return
+	}
+	h.count.Add(t.count)
+	h.sum.Add(t.sum)
+	for i, n := range t.buckets {
+		if n != 0 {
+			h.buckets[i].Add(n)
+		}
+	}
+}
+
+// Tally accumulates observations in Histogram's buckets with plain
+// integers: a batch owned by one goroutine (or guarded by its owner's
+// lock) and folded into a Histogram with Merge. It lets a hot path
+// observe without an atomic read-modify-write per value. The zero value
+// is an empty tally.
+type Tally struct {
+	count, sum int64
+	buckets    [65]int64
+}
+
+// Observe records one value.
+func (t *Tally) Observe(v int64) {
+	t.count++
+	t.sum += v
+	t.buckets[bucketOf(v)]++
+}
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
@@ -181,7 +224,10 @@ type entry struct {
 }
 
 // Registry holds named metrics. Registration takes a mutex; the returned
-// handles update via atomics only, so the hot path never contends.
+// handles update via atomics only, never the registry's lock. Hot paths
+// that meter every event (the mpi message plane) batch into plain
+// per-owner integers and Tallies and add those to the handles once per
+// run, so they pay no atomic per event either.
 // A nil *Registry is valid everywhere and hands out nil handles.
 type Registry struct {
 	mu      sync.Mutex

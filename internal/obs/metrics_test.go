@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -192,4 +195,42 @@ func TestConcurrentAddsDeterministic(t *testing.T) {
 	if h.Count() != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", h.Count())
 	}
+}
+
+// TestQuickTallyMergeEqualsObserve is the batching contract: any value
+// sequence observed into Tallies and then merged gives the histogram
+// that observing it directly gives — count, sum and every bucket —
+// however the sequence is split between tallies. Each sequence also
+// carries zero, negatives, MaxInt64 and small values, so the v <= 0
+// bucket, the top bucket and sum overflow are always exercised.
+func TestQuickTallyMergeEqualsObserve(t *testing.T) {
+	prop := func(raw []int64, cut uint8) bool {
+		vals := []int64{0, -1, math.MinInt64, math.MaxInt64, 1}
+		for _, v := range raw {
+			vals = append(vals, v, v>>40, v%1000)
+		}
+		r := NewRegistry()
+		direct := r.Histogram("direct", "")
+		merged := r.Histogram("merged", "")
+		var a, b Tally
+		k := int(cut) % (len(vals) + 1)
+		for i, v := range vals {
+			direct.Observe(v)
+			if i < k {
+				a.Observe(v)
+			} else {
+				b.Observe(v)
+			}
+		}
+		merged.Merge(&a)
+		merged.Merge(&b)
+		merged.Merge(&Tally{}) // an empty tally adds nothing
+		snap := r.Snapshot(false)
+		return reflect.DeepEqual(snap["direct"], snap["merged"])
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	var nilHist *Histogram
+	nilHist.Merge(&Tally{count: 1}) // metering off: a no-op, not a panic
 }

@@ -36,9 +36,9 @@ const (
 // magnitude, so a regression that reintroduces per-message allocation
 // fails `make verify`.
 const (
-	budgetP2P       = 64   // measured 26 pooled; 793 pre-pooling
-	budgetAllreduce = 160  // measured 63 pooled; 2623 pre-pooling
-	budgetChurn     = 2200 // measured ~1095 with pooled inboxes and slab
+	budgetP2P       = 64   // measured 24 pooled; 793 pre-pooling
+	budgetAllreduce = 160  // measured 49 pooled; 2623 pre-pooling
+	budgetChurn     = 2200 // measured 215 with pooled inboxes and slab
 	// comms; ~1620 when every world built its inboxes and per-rank
 	// Comm/rankState records from scratch. A regression that drops the
 	// inbox pool or the Run slabs lands back above this line.
