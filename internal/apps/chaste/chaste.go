@@ -115,6 +115,9 @@ func Run(c *mpi.Comm, cfg Config) (*Stats, error) {
 	if cfg.Steps <= 0 {
 		return nil, fmt.Errorf("chaste: invalid step count %d", cfg.Steps)
 	}
+	if cfg.Neighbours < 1 {
+		return nil, fmt.Errorf("chaste: invalid Neighbours %d: need at least 1", cfg.Neighbours)
+	}
 	if np > cfg.MeshNodes {
 		return nil, fmt.Errorf("chaste: %d ranks exceed mesh nodes", np)
 	}
@@ -166,14 +169,10 @@ func Run(c *mpi.Comm, cfg Config) (*Stats, error) {
 	}
 
 	haloBytes := 8 * boundaryNodes(cfg.MeshNodes, np) / cfg.Neighbours
-	// Neighbour ring: exchange with the nearest ranks on both sides, the
-	// typical locality of a good mesh partition. Exchanges proceed in
-	// distance phases: at phase k every rank first posts its sends to
-	// rank±k and only then receives, so phase k's receives depend solely
-	// on phase k sends — a deadlock-free schedule.
+	// Neighbour ring: exchange with the Neighbours/2 nearest ranks on
+	// both sides, the typical locality of a good mesh partition.
 	pairs := cfg.Neighbours / 2
 
-	const tagHalo = 82
 	var kspTime float64
 	for step := resume; step < cfg.Steps; step++ {
 		// ASSEMBLE: per-element matrix/RHS assembly and cell-model ODEs.
@@ -186,22 +185,12 @@ func Run(c *mpi.Comm, cfg Config) (*Stats, error) {
 		perIter := kspWork.Scale(1 / float64(cfg.KSpItersPerStep))
 		for it := 0; it < cfg.KSpItersPerStep; it++ {
 			c.Compute(perIter)
-			// SpMV boundary exchange with each mesh neighbour.
-			for k := 1; k <= pairs && np > 1; k++ {
-				up := (c.Rank() + k) % np
-				down := (c.Rank() - k + np) % np
-				if up == c.Rank() {
-					continue
-				}
-				c.SendN(up, tagHalo, haloBytes)
-				if down != up {
-					c.SendN(down, tagHalo, haloBytes)
-				}
-				c.RecvN(down, tagHalo)
-				if up != down {
-					c.RecvN(up, tagHalo)
-				}
-			}
+			// SpMV boundary exchange with each mesh neighbour: per
+			// distance k, sends to rank±k, then receives from rank∓k,
+			// traced as the individual Sends and Recvs. A fault-free
+			// world evaluates it at one rendezvous instead of as
+			// messages (mpi.Comm.RingExchangeN), with identical clocks.
+			c.RingExchangeN(haloBytes, pairs)
 			// Two scalar dot products — the 4-byte all-reduces of the
 			// paper's IPM analysis.
 			c.AllreduceN(4)

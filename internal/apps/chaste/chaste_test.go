@@ -2,6 +2,7 @@ package chaste
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -189,14 +190,40 @@ func TestEC2ExtensionRuns(t *testing.T) {
 	}
 }
 
-func TestRejectsBadConfig(t *testing.T) {
+// TestRunsWithMorePairsThanRanks covers a ring with more neighbour
+// distances than ranks: at 2 ranks the default six neighbours reach
+// distance 3, so rank-3 must wrap modulo the size to a valid rank.
+func TestRunsWithMorePairsThanRanks(t *testing.T) {
 	cfg := Default()
-	cfg.Steps = 0
-	_, err := mpi.RunOn(platform.Vayu(), 2, func(c *mpi.Comm) error {
+	cfg.Steps = 1
+	if _, err := mpi.RunOn(platform.Vayu(), 2, func(c *mpi.Comm) error {
 		_, err := Run(c, cfg)
 		return err
-	})
-	if err == nil {
-		t.Fatal("zero steps should fail")
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"zero-steps", func(c *Config) { c.Steps = 0 }, "step count"},
+		{"zero-neighbours", func(c *Config) { c.Neighbours = 0 }, "Neighbours 0"},
+		{"negative-neighbours", func(c *Config) { c.Neighbours = -2 }, "Neighbours -2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Default()
+			tc.edit(&cfg)
+			_, err := mpi.RunOn(platform.Vayu(), 2, func(c *mpi.Comm) error {
+				_, err := Run(c, cfg)
+				return err
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("got %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -93,7 +93,8 @@ func TestComputeAllocFree(t *testing.T) {
 // TestPhantomCollectivesAllocFree drives every schedule the rendezvous
 // evaluator has: recursive doubling (Allreduce at a power of two), the
 // reduce-plus-bcast trees (Allreduce otherwise), the dissemination
-// barrier, the pairwise exchange and the ring.
+// barrier, the pairwise exchange, the ring allgather and the ring halo
+// exchange (at np 6 its third distance meets rank+3 = rank-3 once).
 func TestPhantomCollectivesAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -105,6 +106,8 @@ func TestPhantomCollectivesAllocFree(t *testing.T) {
 		{"Barrier/np8", 8, func(c *Comm) { c.Barrier() }},
 		{"AlltoallN/np8", 8, func(c *Comm) { c.AlltoallN(64) }},
 		{"AllgatherN/np6", 6, func(c *Comm) { c.AllgatherN(64) }},
+		{"RingExchangeN/np8", 8, func(c *Comm) { c.RingExchangeN(1<<10, 3) }},
+		{"RingExchangeN/np6", 6, func(c *Comm) { c.RingExchangeN(1<<10, 3) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) { assertNoMarginalAllocs(t, tc.np, tc.op) })
 	}

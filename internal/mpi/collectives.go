@@ -93,6 +93,7 @@ const (
 	tagAllgat  = 1<<20 + 6
 	tagAlltoal = 1<<20 + 7
 	tagSplit   = 1<<20 + 8
+	tagRing    = 1<<20 + 9 // RingExchangeN played out as messages
 )
 
 // collective runs body with nested tracing suppressed and records the whole

@@ -61,6 +61,14 @@ func TestDeadlockDiagnosis(t *testing.T) {
 		}, "mpi: deadlock: 4 rank(s) blocked with no runnable peer:" +
 			" rank 0 waiting in Allreduce (ctx=1, 3/4 entered) rank 1 waiting in Allreduce (ctx=1, 3/4 entered)" +
 			" rank 2 waiting in Allreduce (ctx=1, 3/4 entered) rank 3 waiting on (src=0, tag=7)"},
+		{"skipped-ring-exchange", 4, func(c *mpi.Comm) error {
+			if c.Rank() != 2 {
+				c.RingExchangeN(1<<10, 3) // rank 2 returns without its halo
+			}
+			return nil
+		}, "mpi: deadlock: 3 rank(s) blocked with no runnable peer:" +
+			" rank 0 waiting in RingExchange (ctx=1, 3/4 entered) rank 1 waiting in RingExchange (ctx=1, 3/4 entered)" +
+			" rank 3 waiting in RingExchange (ctx=1, 3/4 entered)"},
 		{"mismatched-collectives", 2, func(c *mpi.Comm) error {
 			if c.Rank() == 0 {
 				c.AllreduceN(4)

@@ -23,8 +23,17 @@ import (
 // lacks. Real-payload collectives, BcastN/GatherN (not fully
 // synchronising) and worlds under a fault plan (whose deaths and link
 // degradations are clocked per message) keep the message path.
+//
+// RingExchangeN, the periodic ring halo, takes the same rendezvous
+// although it synchronises only neighbours: its exit clocks are still a
+// pure function of the entry clocks, so evaluating them once every rank
+// has entered changes no virtual time, only the host-time order (which
+// is why every rank of the communicator must call it). Unlike the
+// collectives it is traced as its individual Sends and Recvs, which the
+// evaluator records for each rank as it charges them.
 
-// collKind names a fully synchronising phantom collective.
+// collKind names a phantom operation evaluated at a rendezvous: a fully
+// synchronising collective, or the ring halo exchange.
 type collKind uint8
 
 const (
@@ -32,11 +41,12 @@ const (
 	collAllreduce                 // recursive doubling, or reduce to 0 plus binomial bcast
 	collAllgather                 // ring
 	collAlltoall                  // pairwise exchange
+	collRing                      // periodic ring halo exchange (RingExchangeN)
 )
 
 // String is the collective's name in CallRecords and deadlock diagnoses.
 func (k collKind) String() string {
-	return [...]string{"Barrier", "Allreduce", "Allgather", "Alltoall"}[k]
+	return [...]string{"Barrier", "Allreduce", "Allgather", "Alltoall", "RingExchange"}[k]
 }
 
 // next returns the step after s of an exchange-shaped schedule; steps
@@ -68,7 +78,7 @@ func (c *Comm) phantom(k collKind, n int) {
 		c.phantomMessages(k, n)
 		return
 	}
-	c.phantomSchedule(k, n)
+	c.rendezvous(slotRank{kind: k, n: n})
 }
 
 // phantomMessages plays a phantom collective out as point-to-point
@@ -123,6 +133,55 @@ func (c *Comm) phantomMessages(k collKind, n int) {
 	}
 }
 
+// RingExchangeN exchanges an n-byte phantom halo with the pairs nearest
+// ranks on each side of the communicator's periodic ring, the
+// neighbourhood of a mesh partition. At distance k = 1..pairs the rank
+// sends to rank+k, then to rank-k, then receives from rank-k, then from
+// rank+k: all of a distance's sends precede its receives, so the
+// exchange cannot deadlock. A neighbour at both distances ±k (2k a
+// multiple of the size) is exchanged with once, and a distance that
+// wraps onto the rank itself is skipped. Every message is traced as a
+// Send or Recv, exactly like the equivalent SendN/RecvN program, but
+// every rank of the communicator must call it with the same pairs, as
+// with a collective.
+func (c *Comm) RingExchangeN(n, pairs int) {
+	if pairs < 0 {
+		panic(fmt.Sprintf("mpi: negative ring pair count %d", pairs))
+	}
+	if c.st.world.faults != nil {
+		c.ringMessages(n, pairs)
+		return
+	}
+	if pairs > 0 {
+		c.rendezvous(slotRank{kind: collRing, n: n, pairs: pairs})
+	}
+}
+
+// ringMessages plays RingExchangeN out as point-to-point messages.
+func (c *Comm) ringMessages(n, pairs int) {
+	p := c.Size()
+	for k := 1; k <= pairs; k++ {
+		up, down := ringPeers(c.rank, p, k)
+		if up == c.rank {
+			continue
+		}
+		c.SendN(up, tagRing, n)
+		if down != up {
+			c.SendN(down, tagRing, n)
+		}
+		c.RecvN(down, tagRing)
+		if up != down {
+			c.RecvN(up, tagRing)
+		}
+	}
+}
+
+// ringPeers returns comm rank r's neighbours at distance k on a p-rank
+// periodic ring.
+func ringPeers(r, p, k int) (up, down int) {
+	return (r + k) % p, ((r-k)%p + p) % p
+}
+
 // slot is one communicator's rendezvous: the ranks parked in its current
 // collective and the evaluator's scratch. A world leases one per
 // communicator on first use in a Run and recycles it at the next Run or
@@ -144,7 +203,11 @@ type slotRank struct {
 	c      *Comm    // nil until the rank enters the current collective
 	kind   collKind // the collective it entered
 	n      int      // bytes per message the rank sends
+	pairs  int      // ring exchange: neighbour distances on each side
 	arrive float64  // arrival time of the rank's send in the step being evaluated
+	// arriveDown is the arrival time of the rank's ring send to rank-k
+	// at the distance k being evaluated (arrive holds the one to rank+k).
+	arriveDown float64
 }
 
 var slotPool = sync.Pool{New: func() any {
@@ -199,14 +262,15 @@ func (w *World) releaseSlots() {
 	w.slots.Store(nil)
 }
 
-// phantomSchedule is the rendezvous body of a phantom collective, n
-// bytes per modelled message.
-func (c *Comm) phantomSchedule(k collKind, n int) {
+// rendezvous enters this rank, described by e, into its communicator's
+// slot. The last rank to enter evaluates the schedule and releases the
+// others; the rest park until it has.
+func (c *Comm) rendezvous(e slotRank) {
 	p := len(c.group)
 	if p == 1 {
 		return
 	}
-	if n < 0 {
+	if e.n < 0 {
 		panic("mpi: negative message size")
 	}
 	w := c.st.world
@@ -216,7 +280,8 @@ func (c *Comm) phantomSchedule(k collKind, n int) {
 		s.mu.Unlock()
 		panic(abortPanic{})
 	}
-	s.ranks[c.rank] = slotRank{c: c, kind: k, n: n}
+	e.c = c
+	s.ranks[c.rank] = e
 	s.entered++
 	if s.entered < p || !s.agreed() {
 		// Park, counted as blocked exactly like a pending receive. Ranks
@@ -248,10 +313,11 @@ func (c *Comm) phantomSchedule(k collKind, n int) {
 	s.cond.Broadcast()
 }
 
-// agreed reports whether every entered rank is in the same collective.
+// agreed reports whether every entered rank is in the same collective
+// (and, for a ring exchange, at the same number of pairs).
 func (s *slot) agreed() bool {
 	for _, sr := range s.ranks {
-		if sr.kind != s.ranks[0].kind {
+		if sr.kind != s.ranks[0].kind || sr.pairs != s.ranks[0].pairs {
 			return false
 		}
 	}
@@ -264,18 +330,22 @@ func (s *slot) agreed() bool {
 // with every rank entered.
 func (s *slot) evaluate() {
 	p, k := len(s.ranks), s.ranks[0].kind
-	if k == collAllreduce && p&(p-1) != 0 {
+	switch {
+	case k == collRing:
+		s.evalRing()
+		return
+	case k == collAllreduce && p&(p-1) != 0:
 		s.evalReduceBcast()
 		return
 	}
 	for step := 1; step < p; step = k.next(step) {
 		for r := range s.ranks {
 			dst, _ := k.peers(r, p, step)
-			s.send(r, dst)
+			s.ranks[r].arrive = s.send(r, dst)
 		}
 		for r := range s.ranks {
 			_, src := k.peers(r, p, step)
-			s.recv(r, src)
+			s.recv(r, src, s.ranks[src].arrive)
 		}
 	}
 }
@@ -284,40 +354,80 @@ func (s *slot) evaluate() {
 // reduce to rank 0, mask by mask upwards (ranks whose lowest set bit is
 // the mask send down to r-mask), then a binomial bcast from 0, mask by
 // mask downwards. Each rank's receives precede its sends in both trees,
-// as in the message path's program order.
+// as in the message path's program order. Caller holds s.mu.
 func (s *slot) evalReduceBcast() {
 	p := len(s.ranks)
 	top := 1
 	for m := 1; m < p; m <<= 1 {
 		for r := m; r < p; r += 2 * m {
-			s.send(r, r-m)
+			s.ranks[r].arrive = s.send(r, r-m)
 		}
 		for r := 0; r+m < p; r += 2 * m {
-			s.recv(r, r+m)
+			s.recv(r, r+m, s.ranks[r+m].arrive)
 		}
 		top = m
 	}
 	for m := top; m > 0; m >>= 1 {
 		for r := 0; r+m < p; r += 2 * m {
-			s.send(r, r+m)
+			s.ranks[r].arrive = s.send(r, r+m)
 		}
 		for r := 0; r+m < p; r += 2 * m {
-			s.recv(r+m, r)
+			s.recv(r+m, r, s.ranks[r].arrive)
 		}
 	}
 }
 
-// send charges comm rank r's message to comm rank dst, keeping its
-// arrival time for the receive of the same step.
-func (s *slot) send(r, dst int) {
-	sr := &s.ranks[r]
-	sr.arrive = sr.c.st.sendCost(sr.c.group[dst], sr.n)
+// evalRing evaluates a ring exchange distance by distance: every rank's
+// sends to rank+k and rank-k, then every rank's receives from rank-k and
+// rank+k, each recorded as its own Send or Recv call. Within a distance
+// each pair of ranks exchanges at most one message per direction, so
+// the message path's per-(source, tag) FIFO pairs each receive with the
+// same distance's send, the one evaluated here. Caller holds s.mu.
+func (s *slot) evalRing() {
+	p, pairs := len(s.ranks), s.ranks[0].pairs
+	for k := 1; k <= pairs; k++ {
+		if k%p == 0 {
+			continue // wraps onto the rank itself
+		}
+		both := 2*k%p == 0 // rank+k and rank-k coincide
+		for r := range s.ranks {
+			up, down := ringPeers(r, p, k)
+			sr := &s.ranks[r]
+			start := sr.c.st.clock
+			sr.arrive = s.send(r, up)
+			sr.c.record("Send", sr.n, start)
+			if !both {
+				start = sr.c.st.clock
+				sr.arriveDown = s.send(r, down)
+				sr.c.record("Send", sr.n, start)
+			}
+		}
+		for r := range s.ranks {
+			up, down := ringPeers(r, p, k)
+			c := s.ranks[r].c
+			start := c.st.clock
+			s.recv(r, down, s.ranks[down].arrive)
+			c.record("Recv", s.ranks[down].n, start)
+			if !both {
+				start = c.st.clock
+				s.recv(r, up, s.ranks[up].arriveDown)
+				c.record("Recv", s.ranks[up].n, start)
+			}
+		}
+	}
 }
 
-// recv charges comm rank r's receive of the message src sent this step.
-func (s *slot) recv(r, src int) {
-	c, from := s.ranks[r].c, &s.ranks[src]
-	c.st.recvCost(c.group[src], from.n, from.arrive)
+// send charges comm rank r's message to comm rank dst and returns its
+// arrival time.
+func (s *slot) send(r, dst int) float64 {
+	sr := &s.ranks[r]
+	return sr.c.st.sendCost(sr.c.group[dst], sr.n)
+}
+
+// recv charges comm rank r's receive of the message src sent at arrive.
+func (s *slot) recv(r, src int, arrive float64) {
+	c := s.ranks[r].c
+	c.st.recvCost(c.group[src], s.ranks[src].n, arrive)
 }
 
 // parkedRanks describes every rank parked at a rendezvous, indexed by

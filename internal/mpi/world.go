@@ -19,8 +19,9 @@
 // evaluated as schedules instead: each rank parks once at its
 // communicator's rendezvous, and the last to enter charges the
 // algorithm's rounds through the same per-message cost code (see
-// schedule.go). Clocks, CallRecords and message counters are the same
-// as the message path's, bit for bit.
+// schedule.go). The fault-free RingExchangeN halo takes the same path.
+// Clocks, CallRecords and message counters are the same as the message
+// path's, bit for bit.
 //
 // Misuse (rank out of range, type-mismatched receive, truncation) panics
 // with a descriptive message, mirroring MPI's error-aborts; World.Run
@@ -42,6 +43,9 @@ import (
 
 // Tracer observes per-rank activity. Implementations must tolerate
 // concurrent calls for different ranks; calls for one rank are sequential.
+// They need not come from the rank's own goroutine: the Sends and Recvs
+// of a RingExchangeN evaluated at a rendezvous are traced by the rank
+// that evaluates it while the others stay parked.
 type Tracer interface {
 	// Call records one completed communication operation.
 	Call(rank int, rec CallRecord)

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
+	"repro/internal/cpumodel"
 	"repro/internal/experiments"
 	"repro/internal/facility"
 	"repro/internal/mpi"
@@ -22,6 +23,10 @@ const (
 	allredLen   = 256  // float64 elements per allreduce
 	allredRanks = 8
 	churnRanks  = 64
+	ringRanks   = 32 // chaste32's width
+	ringIters   = 32 // KSp iterations per op
+	ringPairs   = 3  // Chaste's six partition neighbours
+	ringBytes   = 12 << 10
 
 	facSlots       = 512 // HPC slots of the facility benches (cloud pools get half each)
 	fac10kJobs     = 10000
@@ -36,9 +41,12 @@ const (
 // magnitude, so a regression that reintroduces per-message allocation
 // fails `make verify`.
 const (
-	budgetP2P       = 64   // measured 24 pooled; 793 pre-pooling
-	budgetAllreduce = 160  // measured 49 pooled; 2623 pre-pooling
-	budgetChurn     = 2200 // measured 215 with pooled inboxes and slab
+	budgetP2P       = 64  // measured 24 pooled; 793 pre-pooling
+	budgetAllreduce = 160 // measured 49 pooled; 2623 pre-pooling
+	budgetRing      = 360 // measured 112, the 32-rank Run's fixed cost,
+	// which the pooled message path shares: the budget catches per-call
+	// allocation in the evaluator, not a return of the halo to messages.
+	budgetChurn = 2200 // measured 215 with pooled inboxes and slab
 	// comms; ~1620 when every world built its inboxes and per-rank
 	// Comm/rankState records from scratch. A regression that drops the
 	// inbox pool or the Run slabs lands back above this line.
@@ -68,6 +76,11 @@ const (
 	// host's before arrivals streamed from the job slice.
 	nsBudgetFac10k  = 15e6  // measured ~5.6ms (~10ms)
 	nsBudgetFac100k = 170e6 // measured ~60ms (~120ms)
+	// 32 ranks x 32 KSp iterations; in parentheses with the ring halo
+	// played out as SendN/RecvN messages instead of at the rendezvous.
+	// That path also fits the budget, so it guards against gross
+	// regressions only, not a return of the halo to messages.
+	nsBudgetRing = 17e6 // measured ~7.0ms (~8.4ms); ~4.7ms at GOMAXPROCS 1
 )
 
 // LintSweepBudgetNs bounds the reprolint whole-module sweep — load,
@@ -109,6 +122,7 @@ func Suite() []Bench {
 		once     sync.Once
 		p2pW     *mpi.World
 		allredW  *mpi.World
+		ringW    *mpi.World
 		payload  []float64
 		allredIn []float64
 	)
@@ -116,6 +130,7 @@ func Suite() []Bench {
 		once.Do(func() {
 			p2pW = world(platform.Vayu(), 2, true)
 			allredW = world(platform.Vayu(), allredRanks, false)
+			ringW = world(platform.Vayu(), ringRanks, false)
 			payload = make([]float64, p2pLen)
 			for i := range payload {
 				payload[i] = float64(i)
@@ -216,6 +231,30 @@ func Suite() []Bench {
 					for i := 0; i < allredIters; i++ {
 						data[0] = float64(c.Rank() + i)
 						c.Allreduce(mpi.Sum, data)
+					}
+					return nil
+				})
+				if err != nil {
+					panic(err)
+				}
+			},
+		},
+		{
+			// A Chaste KSp iteration over 32 ranks: one compute charge,
+			// the ring halo with three neighbours on each side and two
+			// 4-byte all-reduces — the fig5/chaste32 inner loop, whose
+			// halo and all-reduces the rendezvous evaluates as schedules.
+			Name:        "mpi/ring-exchange",
+			AllocBudget: budgetRing,
+			NsBudget:    nsBudgetRing,
+			Op: func() {
+				setup()
+				_, err := ringW.Run(func(c *mpi.Comm) error {
+					for i := 0; i < ringIters; i++ {
+						c.Compute(cpumodel.Work{Flops: 1e6, Bytes: 1e6})
+						c.RingExchangeN(ringBytes, ringPairs)
+						c.AllreduceN(4)
+						c.AllreduceN(4)
 					}
 					return nil
 				})

@@ -69,11 +69,13 @@ func TestCommittedManifestDigests(t *testing.T) {
 	}
 }
 
-// TestPDES1FullSweepGolden regenerates the E13 large-scale artefact
-// (pdes1: class-B skeletons at 1024-16384 ranks) at its committed full
-// sweep and byte-compares every file, manifest included, with results/.
-// It is the scale end of the golden check: the worlds are the largest any
-// artefact builds. Skipped in -short mode and under the race detector.
+// TestPDES1FullSweepGolden regenerates artefacts at their committed full
+// sweep and byte-compares every file, manifest included, with results/:
+// the E13 large-scale artefact (pdes1: class-B skeletons at 1024-16384
+// ranks, the largest worlds any artefact builds) and chaste32 (the
+// 32-core Chaste IPM breakdown, whose KSp halo and all-reduces run
+// through the rendezvous schedule evaluator). Skipped in -short mode and
+// under the race detector.
 func TestPDES1FullSweepGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-sweep regeneration skipped in -short mode")
@@ -81,30 +83,34 @@ func TestPDES1FullSweepGolden(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full-sweep regeneration skipped under the race detector")
 	}
-	jobs, err := experiments.Jobs(experiments.SweepFull, 0, []string{"pdes1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := sched.Run(jobs, sched.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := results[0].Files
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if len(names) != 3 {
-		t.Fatalf("pdes1 produced %v, want a figure's csv, txt and manifest", names)
-	}
-	for _, name := range names {
-		want, err := os.ReadFile(filepath.Join("results", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(files[name], want) {
-			t.Errorf("%s differs from the committed artefact", name)
-		}
+	for _, id := range []string{"pdes1", "chaste32"} {
+		t.Run(id, func(t *testing.T) {
+			jobs, err := experiments.Jobs(experiments.SweepFull, 0, []string{id})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := sched.Run(jobs, sched.Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			files := results[0].Files
+			names := make([]string, 0, len(files))
+			for name := range files {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			if len(names) != 3 {
+				t.Fatalf("%s produced %v, want a csv, a txt and a manifest", id, names)
+			}
+			for _, name := range names {
+				want, err := os.ReadFile(filepath.Join("results", name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(files[name], want) {
+					t.Errorf("%s differs from the committed artefact", name)
+				}
+			}
+		})
 	}
 }
