@@ -3,7 +3,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race fmt vet lint lint-bench lint-sarif fuzz bench bench-report bench-smoke facility-smoke verify results clean
+.PHONY: all build test race fmt vet lint lint-bench lint-sarif fuzz bench bench-smoke facility-smoke verify results clean
 
 all: build
 
@@ -34,12 +34,11 @@ lint: fmt vet
 lint-sarif: build
 	$(GO) run ./cmd/reprolint -sarif ./... > reprolint.sarif
 
-# The lint gate's own latency is a tracked performance surface: time one
+# The lint gate's own latency is a gated performance surface: time one
 # cold in-process reprolint sweep (load + type-check + all seven
-# analyzers) against the committed wall-clock budget and append a
-# lint/reprolint-sweep point to the bench history.
+# analyzers) against the committed wall-clock budget. Writes nothing.
 lint-bench: build
-	$(GO) run ./cmd/bench -lint-bench -history results/bench/history.jsonl
+	$(GO) run ./cmd/bench -lint-bench
 
 test:
 	$(GO) test ./...
@@ -49,8 +48,8 @@ race:
 
 # Short seeded-corpus fuzz passes over the fault plane, the facility's
 # spot execution model and the parsers of outside input (manifests,
-# traces, -faults strings, the bench history). Bounded by FUZZTIME so verify stays a fixed-cost gate; raise it
-# (make fuzz FUZZTIME=5m) for a real fuzzing session. The obs and perfbench targets seed
+# traces, -faults strings). Bounded by FUZZTIME so verify stays a fixed-cost gate; raise it
+# (make fuzz FUZZTIME=5m) for a real fuzzing session. The obs targets seed
 # from whole committed files, so their minimisation is capped: shrinking a
 # kilobyte input would otherwise eat the whole budget.
 fuzz:
@@ -65,28 +64,18 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSWF -fuzztime $(FUZZTIME) ./internal/facility
 	$(GO) test -run '^$$' -fuzz FuzzDecodeManifest -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzParseChromeTrace -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/obs
-	$(GO) test -run '^$$' -fuzz FuzzReadHistory -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/perfbench
 
-# Full microbenchmark run: measures the perfbench suite (ns/op, B/op,
-# allocs/op), checks allocation and ns/op budgets, and appends a snapshot
-# (with environment provenance) to the append-only bench history.
-bench: build
-	$(GO) run ./cmd/bench -history results/bench/history.jsonl
-
-# Trend report over the bench history: per-benchmark deltas vs the
-# previous snapshot and the trailing-window baseline, with statistical
-# verdicts (median + MAD). -fail-on-regression turns it into a gate; the
-# detector only compares snapshots from the same environment fingerprint,
-# so a fresh machine reads as "no-history", never a false regression.
-bench-report: build
-	$(GO) run ./cmd/bench -report -fail-on-regression \
-		-history results/bench/history.jsonl
+# Measure the perfbench suite (ns/op, B/op, allocs/op per member) with
+# the standard benchmark machinery. Measures only; the budgets are
+# bench-smoke's job, and end-to-end claims are paired hostbench A/B runs.
+bench:
+	$(GO) test -run '^$$' -bench BenchmarkSuite -benchmem .
 
 # Cheap regression gate: one AllocsPerRun pass per budgeted benchmark plus
 # a timed ns/op pass per wall-time-budgeted benchmark. Fails when the
 # message plane or the facility engine regresses past a committed budget.
 bench-smoke: build
-	$(GO) run ./cmd/bench -smoke
+	$(GO) run ./cmd/bench
 
 # Batch-facility gate: a small seeded facility run (broker + spot, all
 # scheduler features on) executed twice; the runs must print byte-identical
@@ -110,13 +99,12 @@ facility-smoke: build
 
 # The full local gate: static analysis (format, vet, reprolint), build,
 # tests, race tests, a short fuzz pass, the allocation/ns-budget smoke,
-# the bench-history trend gate, the lint-latency budget and the
-# batch-facility smoke. Mirrors what CI runs (.github/workflows/ci.yml).
-# lint-bench runs after bench-report so the trend gate judges the
-# committed history, not the point lint-bench just appended. The smoke
-# sweep's manifests and -j determinism are Go tests (TestReproSmokeManifest,
-# TestArtefactManifests, TestGoldenDeterminismSmoke), run by `test`.
-verify: lint build test race fuzz bench-smoke bench-report lint-bench facility-smoke
+# the lint-latency budget and the batch-facility smoke. Mirrors what CI
+# runs (.github/workflows/ci.yml) and writes nothing tracked, so the tree
+# stays clean. The smoke sweep's manifests and -j determinism are Go
+# tests (TestReproSmokeManifest, TestArtefactManifests,
+# TestGoldenDeterminismSmoke), run by `test`.
+verify: lint build test race fuzz bench-smoke lint-bench facility-smoke
 	@echo "verify: all gates passed"
 
 # Regenerate the committed seed artefacts (full sweep, seed 0).

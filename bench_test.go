@@ -63,6 +63,20 @@ func BenchmarkFig3NPBSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkFig4NPBScaling regenerates one Figure 4 panel per kernel
+// family: EP compute-bound, CG latency-bound and FT all-to-all.
+func BenchmarkFig4NPBScaling(b *testing.B) {
+	for _, kernel := range []string{"ep", "cg", "ft"} {
+		b.Run(kernel, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := experiments.Fig4NPBScaling(kernel); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTable2CommFraction regenerates the Table II %comm entries at
 // np=64 (the row the paper's discussion focuses on).
 func BenchmarkTable2CommFraction(b *testing.B) {
@@ -195,9 +209,9 @@ func BenchmarkFig7Breakdown(b *testing.B) {
 }
 
 // BenchmarkSuite runs every member of the committed perfbench suite —
-// the message-plane, world-churn, OSU, facility and Figure 4 panel
-// benchmarks whose budgets `make verify` gates — as one sub-benchmark
-// each, so `go test -bench` measures exactly what cmd/bench records.
+// the message-plane, world-churn, OSU and facility benchmarks whose
+// budgets `make verify` gates — as one sub-benchmark each, so `make
+// bench` measures exactly what cmd/bench gates.
 func BenchmarkSuite(b *testing.B) {
 	for _, bench := range perfbench.Suite() {
 		b.Run(bench.Name, func(b *testing.B) {

@@ -10,9 +10,9 @@ import (
 
 // TestCLIRejectsBadArgs runs the built application binaries with
 // arguments they must refuse before simulating anything: each has to
-// exit with status 1 and a message naming the bad input, never a Go
-// panic. Skipped in -short mode and under the race detector, like
-// TestReproSmokeManifest.
+// exit with status 1 and a message naming the bad input, prefixed once
+// with the command's name, never a Go panic. Skipped in -short mode and
+// under the race detector, like TestReproSmokeManifest.
 func TestCLIRejectsBadArgs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary builds skipped in -short mode")
@@ -25,7 +25,7 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 		t.Skipf("go tool not on PATH: %v", err)
 	}
 	dir := t.TempDir()
-	build := exec.Command(gobin, "build", "-o", dir, "./cmd/chaste", "./cmd/metum", "./cmd/npb")
+	build := exec.Command(gobin, "build", "-o", dir, "./cmd/chaste", "./cmd/facility", "./cmd/metum", "./cmd/npb")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -39,6 +39,8 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 		{"metum", []string{"-np", "0"}, "metum: -np must be at least 1, got 0"},
 		{"npb", []string{"-bench", "zz"}, `npb: unknown kernel "zz" (want bt, cg, ep, ft, is, lu, mg, sp)`},
 		{"npb", []string{"-bench", "zz", "-np", "3"}, `npb: unknown kernel "zz"`},
+		{"npb", []string{"-bench", "ep", "-class", "Z"}, `npb: unknown class "Z"`},
+		{"facility", []string{"-jobs", "0"}, "facility: workload needs positive Jobs (0)"},
 	}
 	for _, tc := range cases {
 		out, err := exec.Command(filepath.Join(dir, tc.bin), tc.args...).CombinedOutput()
@@ -48,6 +50,9 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 		}
 		if !strings.Contains(string(out), tc.want) {
 			t.Errorf("%s %v: output lacks %q:\n%s", tc.bin, tc.args, tc.want, out)
+		}
+		if prefix := tc.bin + ": "; strings.Contains(string(out), prefix+prefix) {
+			t.Errorf("%s %v doubles its error prefix:\n%s", tc.bin, tc.args, out)
 		}
 		if strings.Contains(string(out), "panic:") {
 			t.Errorf("%s %v panicked:\n%s", tc.bin, tc.args, out)

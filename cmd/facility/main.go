@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -185,7 +186,9 @@ func main() {
 	}
 }
 
+// fatal prints err under the command's name once: errors from the
+// facility package already carry that prefix.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "facility:", err)
+	fmt.Fprintln(os.Stderr, "facility:", strings.TrimPrefix(err.Error(), "facility: "))
 	os.Exit(1)
 }

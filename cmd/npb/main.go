@@ -238,7 +238,9 @@ func openCache(dir string) *sched.Cache {
 	return cache
 }
 
+// fatal prints err under the command's name once: errors from the
+// npb package already carry that prefix.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "npb:", err)
+	fmt.Fprintln(os.Stderr, "npb:", strings.TrimPrefix(err.Error(), "npb: "))
 	os.Exit(1)
 }

@@ -143,7 +143,8 @@ func main() {
 
 // writeRunManifest records the whole invocation: knobs, total virtual
 // time, scheduler metrics (including volatile wall-clock series — this
-// manifest describes one interactive run, not a golden artefact) and the
+// manifest describes one interactive run, not a golden artefact), the
+// host wall time of every job that ran (sched_job_wall_ns_<id>) and the
 // hashes of every produced file. The per-artefact manifests written
 // alongside the outputs stay the deterministic provenance records.
 func writeRunManifest(path string, sweep experiments.Sweep, seed uint64,
@@ -157,6 +158,9 @@ func writeRunManifest(path string, sweep experiments.Sweep, seed uint64,
 		virtual += r.Virtual
 		for name, data := range r.Files {
 			files[name] = data
+		}
+		if r.Status == sched.Done {
+			reg.VolatileGauge("sched_job_wall_ns_"+r.ID, "host wall time of job "+r.ID).Set(r.Wall.Nanoseconds())
 		}
 	}
 	knobs := obs.EnvKnobs(obs.GitRev())

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cpumodel"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -162,5 +163,37 @@ func TestRingExchangeScheduleMatchesMessages(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestRingExchangeProgramLeasesNoMessages is the deterministic gate
+// behind perfbench's mpi/ring-exchange member, whose allocation and
+// ns/op budgets the message path fits too: on a fault-free 32-rank
+// world, Chaste's KSp loop (a compute charge, the ring halo with three
+// neighbours on each side and two 4-byte all-reduces) must meter every
+// modelled send without leasing a single pooled message envelope.
+func TestRingExchangeProgramLeasesNoMessages(t *testing.T) {
+	const np, iters, pairs = 32, 32, 3
+	reg := obs.NewRegistry()
+	_, err := RunOn(platform.Vayu(), np, func(c *Comm) error {
+		for i := 0; i < iters; i++ {
+			c.Compute(cpumodel.Work{Flops: 1e6, Bytes: 1e6})
+			c.RingExchangeN(12<<10, pairs)
+			c.AllreduceN(4)
+			c.AllreduceN(4)
+		}
+		return nil
+	}, WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot(true)
+	// Per iteration every rank sends one message each way at each ring
+	// distance and log2(np) = 5 per recursive-doubling all-reduce.
+	if got, want := snap["mpi_sends_total"].Value, int64(np*iters*(2*pairs+2*5)); got != want {
+		t.Errorf("mpi_sends_total = %d, want %d modelled sends", got, want)
+	}
+	if got := snap["mpi_pool_leases_total"].Value; got != 0 {
+		t.Errorf("mpi_pool_leases_total = %d, want 0: the halo or the all-reduces ran as messages", got)
 	}
 }

@@ -1,69 +1,36 @@
-// Package perfbench is the benchmark-regression harness of the
-// reproduction: a fixed suite of runtime microbenchmarks (point-to-point
-// throughput, allreduce, world churn) plus wrappers around the figure
-// regenerations of bench_test.go, measured with testing.Benchmark and
-// gated by committed allocation budgets via testing.AllocsPerRun.
+// Package perfbench is the benchmark gate of the reproduction: a fixed
+// suite of runtime microbenchmarks (point-to-point throughput, allreduce,
+// the Chaste ring halo, world churn, the OSU simulation and the batch
+// facility), each carrying a committed allocation budget checked with
+// testing.AllocsPerRun and, for the wall-time-critical ones, an ns/op
+// budget checked with testing.Benchmark.
 //
-// `make bench` runs the full suite, checks the budgets and appends one
-// environment-stamped snapshot (ns/op, B/op, allocs/op) to the bench
-// history (history.go); `make verify` runs the cheap smoke mode, which
-// only checks the budgets, so an accidental allocation regression on the
-// message hot path fails the gate before it lands.
+// `cmd/bench` (`make bench-smoke`, part of `make verify`) checks the
+// budgets, so an accidental allocation regression on the message hot
+// path fails the gate before it lands. Measuring is `go test -bench
+// BenchmarkSuite` (`make bench`), which runs the same members as
+// sub-benchmarks.
 package perfbench
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
-// Stats is one benchmark measurement.
-type Stats struct {
-	N           int     `json:"n"`             // iterations measured
-	NsPerOp     float64 `json:"ns_per_op"`     // wall nanoseconds per op
-	AllocsPerOp float64 `json:"allocs_per_op"` // heap allocations per op
-	BytesPerOp  float64 `json:"bytes_per_op"`  // heap bytes per op
-}
-
 // Bench is one suite member: a single-iteration operation plus its
-// allocation budget.
+// budgets.
 type Bench struct {
 	Name string
 	// Op runs one iteration; it must be deterministic and panic on error.
 	Op func()
 	// AllocBudget caps testing.AllocsPerRun(runs, Op); 0 exempts the
-	// benchmark from the allocation gate (figure regenerations, whose
-	// allocation count is dominated by reporting, not the message plane).
+	// benchmark from the allocation gate.
 	AllocBudget float64
 	// NsBudget caps the wall nanoseconds per op measured by
 	// testing.Benchmark; 0 exempts the benchmark from the timing gate.
 	// Checked by CheckNsBudgets with an explicit relative tolerance.
 	NsBudget float64
-}
-
-// Measure times b.Op with the standard benchmark machinery.
-func Measure(b Bench) Stats {
-	r := testing.Benchmark(func(tb *testing.B) {
-		tb.ReportAllocs()
-		for i := 0; i < tb.N; i++ {
-			b.Op()
-		}
-	})
-	return Stats{
-		N:           r.N,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: float64(r.AllocsPerOp()),
-		BytesPerOp:  float64(r.AllocedBytesPerOp()),
-	}
-}
-
-// AllocsPerRun measures b.Op's allocations per run (averaged over runs
-// invocations after one warmup, GOMAXPROCS pinned to 1 by the testing
-// package).
-func AllocsPerRun(b Bench, runs int) float64 {
-	if runs < 1 {
-		runs = 1
-	}
-	return testing.AllocsPerRun(runs, b.Op)
 }
 
 // BudgetViolation describes one benchmark exceeding its allocation budget.
@@ -78,8 +45,10 @@ func (v BudgetViolation) Error() string {
 	return fmt.Sprintf("perfbench: %s allocated %.0f/run, budget %.0f", v.Name, v.Measured, v.Budget)
 }
 
-// CheckBudgets measures every budgeted benchmark with testing.AllocsPerRun
-// and returns the measurements and any violations.
+// CheckBudgets measures every budgeted benchmark's allocations per run
+// with testing.AllocsPerRun (averaged over runs invocations, at least
+// one, after a warmup, GOMAXPROCS pinned to 1) and returns the
+// measurements and any violations.
 func CheckBudgets(benches []Bench, runs int) (map[string]float64, []BudgetViolation) {
 	measured := make(map[string]float64)
 	var violations []BudgetViolation
@@ -87,10 +56,67 @@ func CheckBudgets(benches []Bench, runs int) (map[string]float64, []BudgetViolat
 		if b.AllocBudget <= 0 {
 			continue
 		}
-		got := AllocsPerRun(b, runs)
+		got := testing.AllocsPerRun(max(runs, 1), b.Op)
 		measured[b.Name] = got
 		if got > b.AllocBudget {
 			violations = append(violations, BudgetViolation{Name: b.Name, Measured: got, Budget: b.AllocBudget})
+		}
+	}
+	return measured, violations
+}
+
+// Within reports whether two float64 values are equal within the given
+// relative tolerance (of the larger magnitude). tol 0 demands exact
+// equality; tol 0.05 accepts a 5% spread. This is the comparator behind
+// `inspect diff -tolerance`.
+func Within(a, b, tol float64) bool {
+	if a == b {
+		return true
+	}
+	if tol <= 0 {
+		return false
+	}
+	scale := math.Max(math.Abs(a), math.Abs(b))
+	return math.Abs(a-b) <= tol*scale
+}
+
+// NsViolation describes one benchmark exceeding its ns/op budget beyond
+// the configured tolerance.
+type NsViolation struct {
+	Name      string
+	Measured  float64
+	Budget    float64
+	Tolerance float64
+}
+
+// Error formats the violation with the effective ceiling.
+func (v NsViolation) Error() string {
+	return fmt.Sprintf("perfbench: %s took %.0f ns/op, budget %.0f (+%.0f%% tolerance = %.0f)",
+		v.Name, v.Measured, v.Budget, 100*v.Tolerance, v.Budget*(1+v.Tolerance))
+}
+
+// CheckNsBudgets times every ns-budgeted benchmark with
+// testing.Benchmark and returns the ns/op measurements plus any budget
+// violations. A measurement only violates when it exceeds the committed
+// budget by more than the relative tolerance — the explicit noise
+// allowance that keeps the wall-clock gate from flapping.
+func CheckNsBudgets(benches []Bench, tol float64) (map[string]float64, []NsViolation) {
+	measured := make(map[string]float64)
+	var violations []NsViolation
+	for _, b := range benches {
+		if b.NsBudget <= 0 {
+			continue
+		}
+		r := testing.Benchmark(func(tb *testing.B) {
+			for i := 0; i < tb.N; i++ {
+				b.Op()
+			}
+		})
+		got := float64(r.T.Nanoseconds()) / float64(r.N)
+		measured[b.Name] = got
+		if got > b.NsBudget*(1+tol) {
+			violations = append(violations, NsViolation{
+				Name: b.Name, Measured: got, Budget: b.NsBudget, Tolerance: tol})
 		}
 	}
 	return measured, violations

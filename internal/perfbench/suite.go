@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/cpumodel"
-	"repro/internal/experiments"
 	"repro/internal/facility"
 	"repro/internal/mpi"
 	"repro/internal/osu"
@@ -45,7 +44,8 @@ const (
 	budgetAllreduce = 160 // measured 49 pooled; 2623 pre-pooling
 	budgetRing      = 360 // measured 112, the 32-rank Run's fixed cost,
 	// which the pooled message path shares: the budget catches per-call
-	// allocation in the evaluator, not a return of the halo to messages.
+	// allocation in the evaluator. A return of the halo to messages is
+	// caught by internal/mpi's TestRingExchangeProgramLeasesNoMessages.
 	budgetChurn = 2200 // measured 215 with pooled inboxes and slab
 	// comms; ~1620 when every world built its inboxes and per-rank
 	// Comm/rankState records from scratch. A regression that drops the
@@ -63,14 +63,13 @@ const (
 )
 
 // Wall-clock budgets (ns/op, measured by testing.Benchmark and checked
-// by CheckNsBudgets with an explicit relative tolerance — the verify
-// knob is cmd/bench -ns-tolerance, default 0.25). Committed at ~2x the
-// measured steady state so the gate trips on a ~3x regression (a
-// reintroduced sort-per-pass scheduler, an accidental O(n) scan) while
-// machine-to-machine variance plus the tolerance stays inside the
+// by CheckNsBudgets with cmd/bench's 25% relative tolerance). Committed
+// at ~2x the measured steady state so the gate trips on a ~3x regression
+// (a reintroduced sort-per-pass scheduler, an accidental O(n) scan)
+// while machine-to-machine variance plus the tolerance stays inside the
 // headroom. Re-baseline after an intentional change by running `make
-// bench` and copying the new measurements here at ~2x (see README,
-// "Continuous performance").
+// bench` (`go test -bench BenchmarkSuite`) and copying the new ns/op
+// here at ~2x (see README, "Performance gates").
 const (
 	// Measured on a 2-CPU host; the figures in parentheses are the same
 	// host's before arrivals streamed from the job slice.
@@ -79,15 +78,16 @@ const (
 	// 32 ranks x 32 KSp iterations; in parentheses with the ring halo
 	// played out as SendN/RecvN messages instead of at the rendezvous.
 	// That path also fits the budget, so it guards against gross
-	// regressions only, not a return of the halo to messages.
+	// regressions only; internal/mpi's
+	// TestRingExchangeProgramLeasesNoMessages catches the halo returning
+	// to messages.
 	nsBudgetRing = 17e6 // measured ~7.0ms (~8.4ms); ~4.7ms at GOMAXPROCS 1
 )
 
 // LintSweepBudgetNs bounds the reprolint whole-module sweep — load,
 // type-check and all seven analyzers, measured in-process by
-// `cmd/bench -lint-bench` and recorded in the bench history as
-// "lint/reprolint-sweep". The static-analysis gate runs on every
-// commit, so its own latency is a tracked performance surface: an
+// `cmd/bench -lint-bench`. The static-analysis gate runs on every
+// commit, so its own latency is a gated performance surface: an
 // analyzer that goes accidentally quadratic in module size
 // fails verify here rather than silently doubling every CI run.
 // Committed with generous headroom (wall time of a cold sweep is
@@ -181,14 +181,6 @@ func Suite() []Bench {
 			}
 			if done != len(*wl) {
 				panic(fmt.Sprintf("perfbench: facility run emitted %d of %d outcomes", done, len(*wl)))
-			}
-		}
-	}
-
-	fig4 := func(kernel string) func() {
-		return func() {
-			if _, err := experiments.Fig4NPBScaling(kernel); err != nil {
-				panic(fmt.Sprintf("perfbench: fig4 %s: %v", kernel, err))
 			}
 		}
 	}
@@ -311,12 +303,5 @@ func Suite() []Bench {
 			NsBudget:    nsBudgetFac100k,
 			Op:          facRun(&fac100k),
 		},
-		// Figure regenerations, one representative Figure 4 panel per
-		// kernel family (EP compute-bound, CG latency-bound, FT
-		// alltoall): end-to-end wall-clock cost of the artefacts whose
-		// sweeps dominate `make results`.
-		{Name: "fig4/ep", Op: fig4("ep")},
-		{Name: "fig4/cg", Op: fig4("cg")},
-		{Name: "fig4/ft", Op: fig4("ft")},
 	}
 }

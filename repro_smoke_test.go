@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/obs"
 )
 
@@ -15,9 +16,10 @@ import (
 // smoke sweep with -manifest. The top-level run manifest and every
 // per-artefact manifest written beside the outputs must decode and pass
 // Validate (obs.ReadManifest does both), and every file the run
-// manifest hashes must be on disk with that hash. Byte-determinism
-// across worker counts is TestGoldenDeterminismSmoke's job in
-// internal/experiments.
+// manifest hashes must be on disk with that hash. The run manifest
+// also carries each job's host wall time as a volatile metric named
+// after the job. Byte-determinism across worker counts is
+// TestGoldenDeterminismSmoke's job in internal/experiments.
 //
 // Skipped in -short mode and under the race detector, like
 // TestExamplesSmoke: it builds a separate, uninstrumented binary.
@@ -52,6 +54,16 @@ func TestReproSmokeManifest(t *testing.T) {
 	if m.Binary != "repro" || m.Knobs["sweep"] != "smoke" || len(m.Artefacts) == 0 {
 		t.Fatalf("run manifest header: binary %q, sweep %q, %d artefacts",
 			m.Binary, m.Knobs["sweep"], len(m.Artefacts))
+	}
+	jobs, err := experiments.Jobs(experiments.SweepSmoke, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		name := "sched_job_wall_ns_" + j.ID
+		if w, ok := m.Metrics[name]; !ok || !w.Volatile || w.Value <= 0 {
+			t.Errorf("run manifest metric %s = %+v, want a positive volatile wall time", name, w)
+		}
 	}
 	for name, want := range m.Artefacts {
 		content, err := os.ReadFile(filepath.Join(outDir, name))
