@@ -25,7 +25,7 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 		t.Skipf("go tool not on PATH: %v", err)
 	}
 	dir := t.TempDir()
-	build := exec.Command(gobin, "build", "-o", dir, "./cmd/chaste", "./cmd/facility", "./cmd/metum", "./cmd/npb")
+	build := exec.Command(gobin, "build", "-o", dir, "./cmd/arrive", "./cmd/chaste", "./cmd/facility", "./cmd/metum", "./cmd/npb")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -34,12 +34,16 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 		args []string
 		want string
 	}{
+		{"arrive", []string{"-np", "0"}, "arrive: -np must be at least 1, got 0"},
 		{"chaste", []string{"-np", "0"}, "chaste: -np must be at least 1, got 0"},
 		{"chaste", []string{"-np", "-1"}, "chaste: -np must be at least 1, got -1"},
+		{"chaste", []string{"-steps", "-1"}, "chaste: -steps must not be negative, got -1"},
 		{"metum", []string{"-np", "0"}, "metum: -np must be at least 1, got 0"},
+		{"metum", []string{"-steps", "-1"}, "metum: -steps must not be negative, got -1"},
 		{"npb", []string{"-bench", "zz"}, `npb: unknown kernel "zz" (want bt, cg, ep, ft, is, lu, mg, sp)`},
 		{"npb", []string{"-bench", "zz", "-np", "3"}, `npb: unknown kernel "zz"`},
 		{"npb", []string{"-bench", "ep", "-class", "Z"}, `npb: unknown class "Z"`},
+		{"npb", []string{"-bench", "cg", "-mode", "full"}, "npb: kernel cg has no full-math implementation (full-math kernels: ep, ft)"},
 		{"facility", []string{"-jobs", "0"}, "facility: workload needs positive Jobs (0)"},
 	}
 	for _, tc := range cases {

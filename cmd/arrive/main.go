@@ -28,6 +28,9 @@ func main() {
 	manifest := flag.String("manifest", "", "write a run-manifest JSON to this file")
 	flag.Parse()
 	start := time.Now()
+	if *np < 1 {
+		fatal(fmt.Errorf("-np must be at least 1, got %d", *np))
+	}
 
 	src := platform.Vayu()
 	fmt.Printf("profiling MetUM at np=%d on %s...\n", *np, src.Name)

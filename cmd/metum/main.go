@@ -38,6 +38,9 @@ func main() {
 	if *np < 1 {
 		fatal(fmt.Errorf("-np must be at least 1, got %d", *np))
 	}
+	if *steps < 0 {
+		fatal(fmt.Errorf("-steps must not be negative, got %d", *steps))
+	}
 
 	p, err := platform.ByName(*platName)
 	if err != nil {

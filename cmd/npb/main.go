@@ -1,9 +1,10 @@
 // Command npb runs one NAS Parallel Benchmark kernel on a modelled
-// platform, either in full-math mode (verified numerics; EP, CG, FT, IS,
-// MG at the small classes) or skeleton mode (pattern replay, any kernel,
-// class B and beyond). -np accepts a comma-separated list of process
-// counts; the sweep's runs execute as jobs on the internal/sched worker
-// pool with the same -j / result-cache machinery as cmd/repro.
+// platform, either in full-math mode (verified numerics; EP and FT at the
+// small classes, issuing exactly their skeletons' MPI calls) or skeleton
+// mode (pattern replay, any kernel, class B and beyond). -np accepts a
+// comma-separated list of process counts; the sweep's runs execute as
+// jobs on the internal/sched worker pool with the same -j / result-cache
+// machinery as cmd/repro.
 //
 // Usage:
 //
@@ -37,7 +38,7 @@ func main() {
 	className := flag.String("class", "S", "problem class: S W A B C")
 	npList := flag.String("np", "1", "process count, or comma-separated sweep (e.g. 16,32,64)")
 	platName := flag.String("platform", "vayu", "platform: vayu, dcc or ec2")
-	mode := flag.String("mode", "skeleton", "full (verified math) or skeleton (pattern replay)")
+	mode := flag.String("mode", "skeleton", "full (verified math; ep and ft only) or skeleton (pattern replay)")
 	seed := flag.Uint64("seed", 0, "jitter seed (repetition index)")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "number of sweep jobs to run concurrently")
 	cacheDir := flag.String("cache", "", "result cache directory (empty: no cache)")
@@ -73,12 +74,18 @@ func main() {
 	}
 	if *mode == "full" {
 		if _, ok := suite.Fulls[*bench]; !ok {
-			fatal(fmt.Errorf("kernel %s has no full-math implementation (EP, CG, FT, IS, MG do; LU/BT/SP are skeleton-only)", *bench))
+			var fulls []string
+			for name := range suite.Fulls {
+				fulls = append(fulls, name)
+			}
+			sort.Strings(fulls)
+			fatal(fmt.Errorf("kernel %s has no full-math implementation (full-math kernels: %s)",
+				*bench, strings.Join(fulls, ", ")))
 		}
-		// Establish self-goldens for the kernels with substituted problem
-		// generators (a trusted serial run; see DESIGN.md). Registered once,
-		// up front, so the sweep's parallel jobs only read the registry.
-		if *bench == "cg" || *bench == "ft" || *bench == "mg" {
+		// Establish FT's self-golden (a trusted serial run; see DESIGN.md).
+		// Registered once, up front, so the sweep's parallel jobs only read
+		// the registry.
+		if *bench == "ft" {
 			if err := suite.RegisterGoldens(class); err != nil {
 				fatal(err)
 			}

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// Op is a reduction operator for Reduce/Allreduce.
+// Op is a reduction operator for Allreduce.
 type Op int
 
 // Reduction operators.
@@ -54,32 +54,6 @@ func (o Op) combine(dst, src []float64) {
 	}
 }
 
-func (o Op) combineInts(dst, src []int) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("mpi: reduction length mismatch %d vs %d", len(dst), len(src)))
-	}
-	switch o {
-	case Sum:
-		for i, v := range src {
-			dst[i] += v
-		}
-	case Max:
-		for i, v := range src {
-			if v > dst[i] {
-				dst[i] = v
-			}
-		}
-	case Min:
-		for i, v := range src {
-			if v < dst[i] {
-				dst[i] = v
-			}
-		}
-	default:
-		panic(fmt.Sprintf("mpi: unknown op %v", o))
-	}
-}
-
 // Reserved tags for collective rounds. User code and collectives never
 // interleave on one communicator from one rank, and per-(src,tag) FIFO
 // matching keeps consecutive collectives correctly paired.
@@ -88,8 +62,6 @@ const (
 	tagBcast   = 1<<20 + 1
 	tagReduce  = 1<<20 + 2
 	tagAllred  = 1<<20 + 3
-	tagGather  = 1<<20 + 4
-	tagScatter = 1<<20 + 5
 	tagAllgat  = 1<<20 + 6
 	tagAlltoal = 1<<20 + 7
 	tagSplit   = 1<<20 + 8
@@ -134,27 +106,6 @@ func (c *Comm) binomialBcast(root int, send func(dst int), recv func(src int)) {
 	}
 }
 
-// Bcast broadcasts data from root to all ranks (binomial tree). On
-// non-root ranks data is overwritten.
-func (c *Comm) Bcast(root int, data []float64) {
-	c.checkRank(root, "root")
-	c.collective("Bcast", 8*len(data), func() {
-		c.binomialBcast(root,
-			func(dst int) { c.Send(dst, tagBcast, data) },
-			func(src int) { c.Recv(src, tagBcast, data) })
-	})
-}
-
-// BcastInts broadcasts an int slice from root.
-func (c *Comm) BcastInts(root int, data []int) {
-	c.checkRank(root, "root")
-	c.collective("Bcast", 8*len(data), func() {
-		c.binomialBcast(root,
-			func(dst int) { c.SendInts(dst, tagBcast, data) },
-			func(src int) { c.RecvInts(src, tagBcast, data) })
-	})
-}
-
 // BcastN broadcasts a phantom payload of n bytes from root.
 func (c *Comm) BcastN(root, n int) {
 	c.checkRank(root, "root")
@@ -162,16 +113,6 @@ func (c *Comm) BcastN(root, n int) {
 		c.binomialBcast(root,
 			func(dst int) { c.SendN(dst, tagBcast, n) },
 			func(src int) { c.RecvN(src, tagBcast) })
-	})
-}
-
-// Reduce combines data from all ranks with op into root's buffer
-// (binomial tree). Non-root buffers are used as scratch and hold partial
-// results afterwards.
-func (c *Comm) Reduce(op Op, root int, data []float64) {
-	c.checkRank(root, "root")
-	c.collective("Reduce", 8*len(data), func() {
-		c.reduceBody(op, root, data)
 	})
 }
 
@@ -217,21 +158,6 @@ func (c *Comm) Allreduce(op Op, data []float64) {
 	})
 }
 
-// AllreduceInts is Allreduce for int payloads.
-func (c *Comm) AllreduceInts(op Op, data []int) {
-	fdp := leaseScratch(len(data))
-	fd := *fdp
-	for i, v := range data {
-		fd[i] = float64(v)
-	}
-	// int reductions reuse the float64 machinery; exact for |v| < 2^53.
-	c.Allreduce(op, fd)
-	for i, v := range fd {
-		data[i] = int(v)
-	}
-	releaseScratch(fdp)
-}
-
 // AllreduceN performs the communication pattern of an n-byte Allreduce
 // with phantom payloads (the skeleton workloads' workhorse: the paper's
 // KSp section is "entirely 4-byte all-reduce operations").
@@ -239,70 +165,10 @@ func (c *Comm) AllreduceN(n int) {
 	c.collective("Allreduce", n, func() { c.phantom(collAllreduce, n) })
 }
 
-// Allgather gathers each rank's send block into recv on every rank
-// (ring algorithm, p-1 steps). len(recv) must be p*len(send).
-func (c *Comm) Allgather(send, recv []float64) {
-	p := c.Size()
-	n := len(send)
-	if len(recv) != p*n {
-		panic(fmt.Sprintf("mpi: Allgather recv length %d, want %d", len(recv), p*n))
-	}
-	c.collective("Allgather", 8*n, func() {
-		copy(recv[c.rank*n:(c.rank+1)*n], send)
-		right := (c.rank + 1) % p
-		left := (c.rank - 1 + p) % p
-		for s := 0; s < p-1; s++ {
-			outBlk := (c.rank - s + p) % p
-			inBlk := (c.rank - s - 1 + p) % p
-			c.Send(right, tagAllgat, recv[outBlk*n:(outBlk+1)*n])
-			c.Recv(left, tagAllgat, recv[inBlk*n:(inBlk+1)*n])
-		}
-	})
-}
-
-// AllgatherInts gathers int blocks.
-func (c *Comm) AllgatherInts(send, recv []int) {
-	p := c.Size()
-	n := len(send)
-	if len(recv) != p*n {
-		panic(fmt.Sprintf("mpi: AllgatherInts recv length %d, want %d", len(recv), p*n))
-	}
-	c.collective("Allgather", 8*n, func() {
-		copy(recv[c.rank*n:(c.rank+1)*n], send)
-		right := (c.rank + 1) % p
-		left := (c.rank - 1 + p) % p
-		for s := 0; s < p-1; s++ {
-			outBlk := (c.rank - s + p) % p
-			inBlk := (c.rank - s - 1 + p) % p
-			c.SendInts(right, tagAllgat, recv[outBlk*n:(outBlk+1)*n])
-			c.RecvInts(left, tagAllgat, recv[inBlk*n:(inBlk+1)*n])
-		}
-	})
-}
-
 // AllgatherN performs a phantom allgather where each rank contributes n
 // bytes.
 func (c *Comm) AllgatherN(n int) {
 	c.collective("Allgather", n, func() { c.phantom(collAllgather, n) })
-}
-
-// Alltoall exchanges equal blocks between every pair of ranks (pairwise
-// exchange, p-1 steps). len(send) == len(recv) == p*blockLen.
-func (c *Comm) Alltoall(send, recv []float64) {
-	p := c.Size()
-	if len(send) != len(recv) || len(send)%p != 0 {
-		panic(fmt.Sprintf("mpi: Alltoall buffer lengths %d/%d not a multiple of %d ranks", len(send), len(recv), p))
-	}
-	n := len(send) / p
-	c.collective("Alltoall", 8*len(send), func() {
-		copy(recv[c.rank*n:(c.rank+1)*n], send[c.rank*n:(c.rank+1)*n])
-		for s := 1; s < p; s++ {
-			dst := (c.rank + s) % p
-			src := (c.rank - s + p) % p
-			c.Send(dst, tagAlltoal, send[dst*n:(dst+1)*n])
-			c.Recv(src, tagAlltoal, recv[src*n:(src+1)*n])
-		}
-	})
 }
 
 // AlltoallComplex exchanges equal complex128 blocks (used by the FT
@@ -330,69 +196,6 @@ func (c *Comm) AlltoallComplex(send, recv []complex128) {
 // high process counts on DCC.
 func (c *Comm) AlltoallN(blockBytes int) {
 	c.collective("Alltoall", blockBytes*c.Size(), func() { c.phantom(collAlltoall, blockBytes) })
-}
-
-// Gather collects each rank's send block to root's recv buffer (linear).
-// recv is only written on root, where len(recv) must be p*len(send).
-func (c *Comm) Gather(root int, send, recv []float64) {
-	c.checkRank(root, "root")
-	p := c.Size()
-	n := len(send)
-	c.collective("Gather", 8*n, func() {
-		if c.rank == root {
-			if len(recv) != p*n {
-				panic(fmt.Sprintf("mpi: Gather recv length %d, want %d", len(recv), p*n))
-			}
-			copy(recv[root*n:(root+1)*n], send)
-			for r := 0; r < p; r++ {
-				if r != root {
-					c.Recv(r, tagGather, recv[r*n:(r+1)*n])
-				}
-			}
-		} else {
-			c.Send(root, tagGather, send)
-		}
-	})
-}
-
-// GatherN performs a phantom gather of n bytes per rank to root.
-func (c *Comm) GatherN(root, n int) {
-	c.checkRank(root, "root")
-	p := c.Size()
-	c.collective("Gather", n, func() {
-		if c.rank == root {
-			for r := 0; r < p; r++ {
-				if r != root {
-					c.RecvN(r, tagGather)
-				}
-			}
-		} else {
-			c.SendN(root, tagGather, n)
-		}
-	})
-}
-
-// Scatter distributes consecutive blocks of root's send buffer to each
-// rank's recv (linear). send is only read on root.
-func (c *Comm) Scatter(root int, send, recv []float64) {
-	c.checkRank(root, "root")
-	p := c.Size()
-	n := len(recv)
-	c.collective("Scatter", 8*n, func() {
-		if c.rank == root {
-			if len(send) != p*n {
-				panic(fmt.Sprintf("mpi: Scatter send length %d, want %d", len(send), p*n))
-			}
-			for r := 0; r < p; r++ {
-				if r != root {
-					c.Send(r, tagScatter, send[r*n:(r+1)*n])
-				}
-			}
-			copy(recv, send[root*n:(root+1)*n])
-		} else {
-			c.Recv(root, tagScatter, recv)
-		}
-	})
 }
 
 // Split partitions the communicator by color; ranks with equal color form

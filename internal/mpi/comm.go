@@ -99,20 +99,8 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// WorldRank returns this rank's index in the world communicator.
-func (c *Comm) WorldRank() int { return c.st.wrank }
-
 // Clock returns the rank's current virtual time in seconds.
 func (c *Comm) Clock() float64 { return c.st.clock }
-
-// CommTime returns the accumulated virtual seconds spent in communication.
-func (c *Comm) CommTime() float64 { return c.st.commTime }
-
-// ComputeTime returns the accumulated virtual seconds charged as computation.
-func (c *Comm) ComputeTime() float64 { return c.st.computeTime }
-
-// IOTime returns the accumulated virtual seconds charged as file I/O.
-func (c *Comm) IOTime() float64 { return c.st.ioTime }
 
 // RNG returns this rank's deterministic random stream (for workload
 // generation that must differ by rank but stay reproducible).
@@ -460,22 +448,9 @@ func (c *Comm) recvCombine(op Op, src, tag int, data []float64) {
 	c.record("Recv", bytes, start)
 }
 
-// Sendrecv performs a combined send to dst and receive from src (equal
-// float64 payloads), the staple of halo exchanges. It cannot deadlock
-// because sends are eager.
-func (c *Comm) Sendrecv(dst, sendTag int, send []float64, src, recvTag int, recv []float64) int {
-	start := c.st.clock
-	c.sendF64(dst, sendTag, send)
-	m := c.recvRaw(src, recvTag)
-	n := copyFloat64(recv, m)
-	bytes := m.bytes
-	m.release()
-	c.record("Sendrecv", 8*len(send)+bytes, start)
-	return n
-}
-
-// SendrecvN is the phantom form of Sendrecv: sendN bytes to dst, receive a
-// phantom message from src.
+// SendrecvN performs a combined phantom send of sendN bytes to dst and
+// receive of a phantom message from src, the staple of halo exchanges. It
+// cannot deadlock because sends are eager.
 func (c *Comm) SendrecvN(dst, sendTag, sendN, src, recvTag int) int {
 	start := c.st.clock
 	c.sendPhantom(dst, sendTag, sendN)

@@ -26,8 +26,9 @@ type meterProgram struct {
 }
 
 // ringReal passes real float64 payloads of two sizes around a ring and
-// then does a Sendrecv halo step, with rank-dependent compute in between
-// so both late senders and late receivers occur.
+// then does a halo step (a send to next and a receive from prev), with
+// rank-dependent compute in between so both late senders and late
+// receivers occur.
 func ringReal(c *mpi.Comm) error {
 	np, r := c.Size(), c.Rank()
 	next, prev := (r+1)%np, (r-1+np)%np
@@ -36,7 +37,8 @@ func ringReal(c *mpi.Comm) error {
 		c.ComputeSeconds(1e-4 * float64(1+(r+i)%3))
 		c.Send(next, 3, buf[:1+i*100])
 		c.Recv(prev, 3, buf)
-		c.Sendrecv(next, 4, buf[:8], prev, 4, buf)
+		c.Send(next, 4, buf[:8])
+		c.Recv(prev, 4, buf)
 	}
 	return nil
 }
@@ -56,9 +58,11 @@ func ringPhantom(c *mpi.Comm) error {
 }
 
 // everyPhantomCollective calls each phantom collective at a few sizes,
-// with skewed entry so collectives see waiting ranks.
+// with skewed entry so collectives see waiting ranks. Each round ends
+// with point-to-point traffic: a linear gather to a rotating root and a
+// pairwise all-to-all of destination-dependent sizes.
 func everyPhantomCollective(c *mpi.Comm) error {
-	r := c.Rank()
+	r, p := c.Rank(), c.Size()
 	for i, n := range []int{0, 8, 4096, 64 << 10} {
 		c.ComputeSeconds(1e-4 * float64(1+(r*7+i)%5))
 		c.Barrier()
@@ -66,12 +70,20 @@ func everyPhantomCollective(c *mpi.Comm) error {
 		c.AllgatherN(n)
 		c.AlltoallN(n)
 		c.BcastN(i%c.Size(), n)
-		c.GatherN((i+1)%c.Size(), n)
-		sizes := make([]int, c.Size())
-		for j := range sizes {
-			sizes[j] = (n + j*13) % 9000
+		if root := (i + 1) % p; r == root {
+			for src := 0; src < p; src++ {
+				if src != root {
+					c.RecvN(src, 7)
+				}
+			}
+		} else {
+			c.SendN(root, 7, n)
 		}
-		c.AlltoallvN(sizes)
+		for s := 1; s < p; s++ {
+			dst, src := (r+s)%p, (r-s+p)%p
+			c.SendN(dst, 8, (n+dst*13)%9000)
+			c.RecvN(src, 8)
+		}
 	}
 	return nil
 }

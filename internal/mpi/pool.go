@@ -159,29 +159,3 @@ func grownCplx(buf []complex128, n int) []complex128 {
 	}
 	return make([]complex128, n, roundCap(n, 16))
 }
-
-// scratchPool recycles the per-reduction float64 temporaries of the
-// collectives (reduce-scatter accumulators, scan prefixes, int-reduction
-// staging) across rounds and calls. Callers must fully overwrite the
-// leased slice before reading it.
-var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
-
-func leaseScratch(n int) *[]float64 {
-	p := scratchPool.Get().(*[]float64)
-	*p = grownF64(*p, n)
-	return p
-}
-
-func releaseScratch(p *[]float64) { scratchPool.Put(p) }
-
-// intScratchPool recycles []int temporaries (Alltoallv displacement
-// tables).
-var intScratchPool = sync.Pool{New: func() any { return new([]int) }}
-
-func leaseIntScratch(n int) *[]int {
-	p := intScratchPool.Get().(*[]int)
-	*p = grownInt(*p, n)
-	return p
-}
-
-func releaseIntScratch(p *[]int) { intScratchPool.Put(p) }

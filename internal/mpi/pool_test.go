@@ -50,8 +50,8 @@ func (t *byteTracer) summary() string {
 	return fmt.Sprintf("calls=%v bytes=%v", t.calls, t.bytes)
 }
 
-// exchangeDigest runs a 4-rank workload exercising every payload type and
-// the pooled collectives, and returns a digest of all bytes received plus
+// exchangeDigest runs a 4-rank workload exercising every payload type,
+// point to point and through the pooled collectives, and returns a digest of all bytes received plus
 // the tracer's byte accounting. The workload is deterministic in seed, so
 // any divergence between pooling modes is a correctness bug.
 func exchangeDigest(t *testing.T, seed uint64, n int) (digest uint64, virtual float64, accounting string) {
@@ -98,50 +98,35 @@ func exchangeDigest(t *testing.T, seed uint64, n int) (digest uint64, virtual fl
 		c.SendComplex(right, 9, cs)
 		c.RecvComplex(left, 9, cr)
 
-		// Nonblocking pair plus a phantom exchange.
+		// Nonblocking phantom exchanges, receive posted first and last.
 		req := c.IrecvN(left, 10)
 		c.SendN(right, 10, 3*n)
-		phantomBytes := c.Wait(req)
-		fr2 := make([]float64, n)
-		rq := c.Irecv(left, 11, fr2)
-		c.Wait(c.Isend(right, 11, f))
+		c.Wait(req)
+		rq := c.IrecvN(left, 11)
+		c.Wait(c.IsendN(right, 11, 5*n))
 		c.Wait(rq)
 
-		// Pooled collectives over the same data.
+		// Pooled collectives over the same data: float64 reductions
+		// combined straight out of pooled payloads (recursive doubling on
+		// all four ranks, reduce+broadcast on a three-rank split, whose
+		// own setup is an int allgather), and the complex all-to-all.
 		red := append([]float64(nil), f...)
 		c.Allreduce(Sum, red)
-		sc := append([]float64(nil), f...)
-		c.Scan(Sum, sc)
-		ex := append([]float64(nil), f...)
-		c.Exscan(Sum, ex)
-		blk := make([]float64, n)
-		rs := make([]float64, np*n)
-		for i := range rs {
-			rs[i] = f[i%n] * float64(i/n+1)
+		mx := append([]float64(nil), f...)
+		c.Allreduce(Max, mx)
+		color := 0
+		if r == np-1 {
+			color = 1
 		}
-		c.ReduceScatterBlock(Sum, rs, blk)
-		ri := append([]int(nil), is...)
-		c.AllreduceInts(Sum, ri)
-
-		// Variable all-to-all: rank r sends (d+1) elements to destination d.
-		counts := make([]int, np)
-		for d := range counts {
-			counts[d] = d + 1
+		sub := c.Split(color, -r)
+		red3 := append([]float64(nil), f...)
+		sub.Allreduce(Sum, red3)
+		ca := make([]complex128, np*len(cs))
+		for i := range ca {
+			ca[i] = cs[i%len(cs)] + complex(float64(r), float64(i/len(cs)))
 		}
-		var tot int
-		for _, k := range counts {
-			tot += k
-		}
-		sendv := make([]float64, tot)
-		for i := range sendv {
-			sendv[i] = f[i%n] + float64(r)
-		}
-		rcounts := make([]int, np)
-		for s := range rcounts {
-			rcounts[s] = r + 1
-		}
-		recvv := make([]float64, np*(r+1))
-		c.Alltoallv(sendv, counts, recvv, rcounts)
+		car := make([]complex128, len(ca))
+		c.AlltoallComplex(ca, car)
 
 		for _, v := range fr {
 			put(math.Float64bits(v))
@@ -153,17 +138,17 @@ func exchangeDigest(t *testing.T, seed uint64, n int) (digest uint64, virtual fl
 			put(math.Float64bits(real(v)))
 			put(math.Float64bits(imag(v)))
 		}
-		put(uint64(phantomBytes))
-		for _, v := range fr2 {
-			put(math.Float64bits(v))
-		}
-		for _, s := range [][]float64{red, sc, ex, blk, recvv} {
+		put(uint64(req.bytes))
+		put(uint64(rq.bytes))
+		put(uint64(sub.Rank()))
+		for _, s := range [][]float64{red, mx, red3} {
 			for _, v := range s {
 				put(math.Float64bits(v))
 			}
 		}
-		for _, v := range ri {
-			put(uint64(v))
+		for _, v := range car {
+			put(math.Float64bits(real(v)))
+			put(math.Float64bits(imag(v)))
 		}
 		digests[r] = h.Sum64()
 		return nil

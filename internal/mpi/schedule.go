@@ -20,9 +20,9 @@ import (
 //
 // Sends are eager, so a parked rank never holds back a message a peer
 // needs: the rendezvous adds no host-time dependency the message path
-// lacks. Real-payload collectives, BcastN/GatherN (not fully
-// synchronising) and worlds under a fault plan (whose deaths and link
-// degradations are clocked per message) keep the message path.
+// lacks. Real-payload collectives, BcastN (not fully synchronising) and
+// worlds under a fault plan (whose deaths and link degradations are
+// clocked per message) keep the message path.
 //
 // RingExchangeN, the periodic ring halo, takes the same rendezvous
 // although it synchronises only neighbours: its exit clocks are still a

@@ -12,16 +12,15 @@
 // Every inter-rank dependency is a real synchronisation between rank
 // goroutines, so the timestamps form a causally consistent conservative
 // discrete-event simulation. Point-to-point operations, real-payload
-// collectives, BcastN and GatherN, and all collectives of a world under a
-// fault plan exchange real messages that carry their virtual arrival
-// times. The fault-free phantom collectives Barrier, AllreduceN,
-// AllgatherN and AlltoallN are fully synchronising, so they are
-// evaluated as schedules instead: each rank parks once at its
-// communicator's rendezvous, and the last to enter charges the
-// algorithm's rounds through the same per-message cost code (see
-// schedule.go). The fault-free RingExchangeN halo takes the same path.
-// Clocks, CallRecords and message counters are the same as the message
-// path's, bit for bit.
+// collectives, BcastN, and all collectives of a world under a fault plan
+// exchange real messages that carry their virtual arrival times. The
+// fault-free phantom collectives Barrier, AllreduceN, AllgatherN and
+// AlltoallN are fully synchronising, so they are evaluated as schedules
+// instead: each rank parks once at its communicator's rendezvous, and
+// the last to enter charges the algorithm's rounds through the same
+// per-message cost code (see schedule.go). The fault-free RingExchangeN
+// halo takes the same path. Clocks, CallRecords and message counters are
+// the same as the message path's, bit for bit.
 //
 // Misuse (rank out of range, type-mismatched receive, truncation) panics
 // with a descriptive message, mirroring MPI's error-aborts; World.Run

@@ -1,294 +1,20 @@
-// Package cg implements the NPB CG kernel: a conjugate-gradient solve of
-// an unstructured sparse symmetric positive-definite system, the
-// memory-bound, small-all-reduce-dominated benchmark whose NUMA
-// sensitivity the paper highlights.
-//
-// The full-math implementation uses a 1D row-block decomposition over a
-// synthetic SPD matrix (a diagonally dominant band plus deterministic
-// random symmetric links) — a documented substitution for NPB's makea
-// routine that preserves row sparsity (2*nonzer+3 entries/row), SPD
-// structure and the CG communication profile. The skeleton replays the
-// reference 2D-decomposition pattern (row-wise partial-sum exchanges,
-// transpose exchange and two 8-byte all-reduces per inner iteration).
+// Package cg implements the NPB CG kernel's communication skeleton: a
+// conjugate-gradient solve of an unstructured sparse symmetric
+// positive-definite system, the memory-bound,
+// small-all-reduce-dominated benchmark whose NUMA sensitivity the paper
+// highlights. The skeleton replays the reference 2D-decomposition
+// pattern (row-wise partial-sum exchanges, transpose exchange and two
+// 8-byte all-reduces per inner iteration) with calibrated work.
 package cg
 
 import (
 	"fmt"
-	"math"
-	"sync"
 
 	"repro/internal/mpi"
 	"repro/internal/npb"
 )
 
-// Result holds kernel outputs.
-type Result struct {
-	Class     npb.Class
-	Zeta      float64 // final shifted-eigenvalue estimate
-	RNorm     float64 // final CG residual norm
-	Verified  bool
-	VerifyMsg string
-	Time      float64
-}
-
-// matrix is one rank's row block in CSR-ish form.
-type matrix struct {
-	na     int
-	lo, hi int // owned rows [lo, hi)
-	cols   [][]int32
-	vals   [][]float64
-}
-
-// rowRange returns the block row range of a rank.
-func rowRange(na, np, rank int) (lo, hi int) {
-	base := na / np
-	extra := na % np
-	lo = rank*base + min(rank, extra)
-	size := base
-	if rank < extra {
-		size++
-	}
-	return lo, lo + size
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// buildMatrix constructs the deterministic SPD test matrix for a class on
-// one rank: a [-1, 4+shift-ish, -1] band plus `nonzer` random symmetric
-// links per row with small positive weights, diagonally dominant.
-func buildMatrix(p npb.CGParams, np, rank int) *matrix {
-	na := p.NA
-	lo, hi := rowRange(na, np, rank)
-	m := &matrix{na: na, lo: lo, hi: hi,
-		cols: make([][]int32, hi-lo), vals: make([][]float64, hi-lo)}
-
-	type link struct {
-		u, v int
-		w    float64
-	}
-	// Deterministic global link list; every rank generates the same list
-	// and keeps rows it owns. Link count na*nonzer/2 keeps ~nonzer random
-	// entries per row.
-	g := npb.NewLCG(314159265)
-	nlinks := na * p.Nonzer / 2
-	local := map[int][]link{}
-	for t := 0; t < nlinks; t++ {
-		u := int(g.Next() * float64(na))
-		v := int(g.Next() * float64(na))
-		w := 0.1 + 0.4*g.Next()
-		if u == v {
-			continue
-		}
-		if u >= lo && u < hi {
-			local[u] = append(local[u], link{u, v, w})
-		}
-		if v >= lo && v < hi {
-			local[v] = append(local[v], link{v, u, w})
-		}
-	}
-
-	for i := lo; i < hi; i++ {
-		row := i - lo
-		var cols []int32
-		var vals []float64
-		var offdiag float64
-		add := func(j int, w float64) {
-			cols = append(cols, int32(j))
-			vals = append(vals, -w)
-			offdiag += w
-		}
-		if i > 0 {
-			add(i-1, 1)
-		}
-		if i < na-1 {
-			add(i+1, 1)
-		}
-		for _, l := range local[i] {
-			add(l.v, l.w)
-		}
-		// Diagonal dominance plus the class shift keeps A SPD.
-		cols = append(cols, int32(i))
-		vals = append(vals, offdiag+p.Shift+1)
-		m.cols[row] = cols
-		m.vals[row] = vals
-	}
-	return m
-}
-
-// spmv computes w = A*x for the local row block; x is the full vector.
-func (m *matrix) spmv(x, w []float64) {
-	for row := range m.cols {
-		var s float64
-		cols, vals := m.cols[row], m.vals[row]
-		for k, j := range cols {
-			s += vals[k] * x[j]
-		}
-		w[row] = s
-	}
-}
-
 const innerIters = 25 // CG steps per outer iteration, as in cg.f
-
-// Run executes the CG benchmark at a class. np must be a power of two (the
-// NPB constraint); the 1D decomposition accepts any np <= na, but we keep
-// the official rule. Every rank returns the same result.
-func Run(c *mpi.Comm, class npb.Class) (*Result, error) {
-	np := c.Size()
-	if !npb.ValidProcs("cg", np) {
-		return nil, fmt.Errorf("cg: %d processes (want a power of two)", np)
-	}
-	p := npb.CGParamsFor(class)
-	if np > p.NA {
-		return nil, fmt.Errorf("cg: %d ranks exceed %d rows", np, p.NA)
-	}
-	total, err := npb.TotalWork("cg", class)
-	if err != nil {
-		return nil, err
-	}
-	m := buildMatrix(p, np, c.Rank())
-	myRows := m.hi - m.lo
-	// Work per inner iteration, proportional to the owned row share.
-	perIter := total.Scale(float64(myRows) / float64(p.NA) / float64(p.Niter*innerIters))
-
-	// Gathered block sizes for the ring allgather of the search vector.
-	blockLen := make([]int, np)
-	for r := 0; r < np; r++ {
-		rlo, rhi := rowRange(p.NA, np, r)
-		blockLen[r] = rhi - rlo
-	}
-	maxBlock := 0
-	for _, b := range blockLen {
-		if b > maxBlock {
-			maxBlock = b
-		}
-	}
-
-	x := make([]float64, p.NA) // current eigenvector estimate (replicated)
-	for i := range x {
-		x[i] = 1
-	}
-	z := make([]float64, myRows)
-	r := make([]float64, myRows)
-	q := make([]float64, myRows)
-	pvec := make([]float64, p.NA) // replicated search direction
-	pLocal := make([]float64, maxBlock)
-	gat := make([]float64, maxBlock*np)
-
-	// allgatherLocal distributes each rank's local block into dst (full
-	// vector), padding blocks to maxBlock for the equal-block allgather.
-	allgather := func(local []float64, dst []float64) {
-		copy(pLocal, local)
-		for i := len(local); i < maxBlock; i++ {
-			pLocal[i] = 0
-		}
-		c.Allgather(pLocal[:maxBlock], gat)
-		off := 0
-		for rr := 0; rr < np; rr++ {
-			copy(dst[off:off+blockLen[rr]], gat[rr*maxBlock:rr*maxBlock+blockLen[rr]])
-			off += blockLen[rr]
-		}
-	}
-
-	dot := func(a, b []float64) float64 {
-		var s float64
-		for i := range a {
-			s += a[i] * b[i]
-		}
-		buf := []float64{s}
-		c.Allreduce(mpi.Sum, buf)
-		return buf[0]
-	}
-
-	var zeta, rnorm float64
-	for outer := 0; outer < p.Niter; outer++ {
-		// Solve A z = x with `innerIters` CG steps.
-		for i := range z {
-			z[i] = 0
-			r[i] = x[m.lo+i]
-		}
-		copy(pvec, x)
-		rho := dot(r, r)
-		for it := 0; it < innerIters; it++ {
-			m.spmv(pvec, q)
-			c.Compute(perIter)
-			// d = p . A p using the local block of the replicated p.
-			var dl float64
-			for i := range q {
-				dl += pvec[m.lo+i] * q[i]
-			}
-			dbuf := []float64{dl}
-			c.Allreduce(mpi.Sum, dbuf)
-			alpha := rho / dbuf[0]
-			for i := range z {
-				z[i] += alpha * pvec[m.lo+i]
-				r[i] -= alpha * q[i]
-			}
-			rho0 := rho
-			rho = dot(r, r)
-			beta := rho / rho0
-			// p = r + beta p, then re-replicate p.
-			for i := range q {
-				pLocal[i] = r[i] + beta*pvec[m.lo+i]
-			}
-			allgather(pLocal[:myRows], pvec)
-		}
-		rnorm = math.Sqrt(rho)
-		// zeta = shift + 1 / (x . z); x = z / ||z||.
-		var xzl, zzl float64
-		for i := range z {
-			xzl += x[m.lo+i] * z[i]
-			zzl += z[i] * z[i]
-		}
-		buf := []float64{xzl, zzl}
-		c.Allreduce(mpi.Sum, buf)
-		zeta = p.Shift + 1/buf[0]
-		inv := 1 / math.Sqrt(buf[1])
-		for i := range z {
-			pLocal[i] = z[i] * inv
-		}
-		allgather(pLocal[:myRows], x)
-	}
-
-	res := &Result{Class: class, Zeta: zeta, RNorm: rnorm, Time: c.Clock()}
-	refMu.RLock()
-	ref, ok := zetaReference[class]
-	refMu.RUnlock()
-	if ok {
-		if math.Abs(res.Zeta-ref) <= 1e-8*math.Abs(ref) {
-			res.Verified = true
-			res.VerifyMsg = "VERIFICATION SUCCESSFUL"
-		} else {
-			res.VerifyMsg = fmt.Sprintf("verification failed: zeta=%v, want %v", res.Zeta, ref)
-		}
-	} else {
-		res.VerifyMsg = "no reference zeta for class"
-	}
-	return res, nil
-}
-
-// zetaReference holds self-generated golden values for the synthetic
-// matrix (our makea substitution makes NPB's official zetas inapplicable).
-// They are deterministic across process counts up to floating-point
-// reordering; see cg_test.go, which also cross-checks np-independence.
-// refMu guards the map: goldens may be registered while concurrent
-// simulations verify against them.
-var (
-	refMu         sync.RWMutex
-	zetaReference = map[npb.Class]float64{}
-)
-
-// SetReference records a golden zeta for a class (used by tests and the
-// harness after a trusted serial run).
-func SetReference(class npb.Class, zeta float64) {
-	refMu.Lock()
-	zetaReference[class] = zeta
-	refMu.Unlock()
-}
 
 // Skeleton replays the reference NPB CG communication pattern on a
 // 2D process grid with phantom messages and calibrated work.

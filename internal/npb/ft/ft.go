@@ -178,7 +178,7 @@ func (g *grid) toTransposed(c *mpi.Comm) {
 			}
 		}
 	}
-	c.AlltoallComplex(g.sendBf, g.recvBf)
+	g.alltoall(c)
 	for src := 0; src < g.np; src++ {
 		off := src * blk
 		for z := 0; z < g.zCnt; z++ {
@@ -203,7 +203,7 @@ func (g *grid) toSlab(c *mpi.Comm) {
 			}
 		}
 	}
-	c.AlltoallComplex(g.sendBf, g.recvBf)
+	g.alltoall(c)
 	for src := 0; src < g.np; src++ {
 		off := src * blk
 		for y := 0; y < g.yCnt; y++ {
@@ -213,6 +213,17 @@ func (g *grid) toSlab(c *mpi.Comm) {
 			}
 		}
 	}
+}
+
+// alltoall exchanges the packed blocks of sendBf into recvBf. A single
+// rank owns every block, so it copies locally instead of calling
+// AlltoallComplex, as ft.f's 0-D layout and the skeleton do.
+func (g *grid) alltoall(c *mpi.Comm) {
+	if g.np == 1 {
+		copy(g.recvBf, g.sendBf)
+		return
+	}
+	c.AlltoallComplex(g.sendBf, g.recvBf)
 }
 
 // waveNumber maps an FFT index to its signed wavenumber.
@@ -319,10 +330,11 @@ func Run(c *mpi.Comm, class npb.Class) (*Result, error) {
 	return res, nil
 }
 
-// checksumReference holds self-generated golden checksums (see package
-// comment in cg for why the official NPB values do not apply to our
-// substituted initialisation path: the spectral evolution here follows the
-// plain diffusion factors rather than ft.f's index-shifted variant).
+// checksumReference holds self-generated golden checksums. The official
+// NPB checksums do not apply: the spectral evolution here multiplies by
+// the plain diffusion factors exp(-4*alpha*pi^2*|k|^2*t), whereas ft.f
+// evolves with its index-shifted variant, so the evolved fields, and with
+// them the checksums, differ from the Fortran suite's.
 // refMu guards the map: goldens may be registered while concurrent
 // simulations verify against them.
 var (

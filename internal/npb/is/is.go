@@ -1,197 +1,16 @@
-// Package is implements the NPB IS kernel: a parallel integer bucket sort
-// of keys drawn from the NPB random stream, dominated by an all-reduce of
-// bucket counts and an all-to-all-v key exchange per iteration — the most
+// Package is implements the NPB IS kernel's communication skeleton: a
+// parallel integer bucket sort dominated by an all-reduce of bucket
+// counts and an all-to-all key exchange per iteration, the most
 // communication-intensive benchmark in the suite ("does not scale well on
 // any of the clusters", per the paper).
 package is
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mpi"
 	"repro/internal/npb"
 )
-
-// Result holds kernel outputs.
-type Result struct {
-	Class     npb.Class
-	KeySum    int64 // conserved checksum of all keys
-	Verified  bool
-	VerifyMsg string
-	Time      float64
-}
-
-const (
-	tagCounts = 11
-	tagKeys   = 12
-	tagBound  = 13
-)
-
-// generateKeys produces this rank's contiguous chunk of the global key
-// sequence: key = floor(MaxKey/4 * (r1+r2+r3+r4)), four variates per key,
-// using jump-ahead so the global sequence is np-invariant.
-func generateKeys(p npb.ISParams, np, rank int) []int {
-	per := p.TotalKeys / np
-	lo := rank * per
-	hi := lo + per
-	if rank == np-1 {
-		hi = p.TotalKeys
-	}
-	g := npb.NewLCG(314159265).Jump(uint64(4 * lo))
-	keys := make([]int, hi-lo)
-	k := float64(p.MaxKey) / 4
-	for i := range keys {
-		x := g.Next() + g.Next() + g.Next() + g.Next()
-		keys[i] = int(k * x)
-		if keys[i] >= p.MaxKey {
-			keys[i] = p.MaxKey - 1
-		}
-	}
-	return keys
-}
-
-// Run executes the IS benchmark. Every rank returns the same result.
-func Run(c *mpi.Comm, class npb.Class) (*Result, error) {
-	np := c.Size()
-	if !npb.ValidProcs("is", np) {
-		return nil, fmt.Errorf("is: %d processes (want a power of two)", np)
-	}
-	p := npb.ISParamsFor(class)
-	if np > p.Buckets {
-		return nil, fmt.Errorf("is: %d ranks exceed %d buckets", np, p.Buckets)
-	}
-	total, err := npb.TotalWork("is", class)
-	if err != nil {
-		return nil, err
-	}
-	perIter := total.Scale(1 / float64(np) / float64(p.Niter))
-
-	keys := generateKeys(p, np, c.Rank())
-	var localSum int64
-	for _, k := range keys {
-		localSum += int64(k)
-	}
-	sumBuf := []float64{float64(localSum), float64(len(keys))}
-	c.Allreduce(mpi.Sum, sumBuf)
-	wantSum, wantCnt := int64(sumBuf[0]), int64(sumBuf[1])
-
-	shift := 0
-	for 1<<shift < p.MaxKey/p.Buckets {
-		shift++
-	}
-
-	counts := make([]int, p.Buckets)
-	sendCnt := make([]int, np)
-	recvCnt := make([]int, np)
-	var sorted []int
-
-	for iter := 0; iter < p.Niter; iter++ {
-		// Bucket histogram and global count reduction.
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, k := range keys {
-			counts[k>>shift]++
-		}
-		global := append([]int(nil), counts...)
-		c.AllreduceInts(mpi.Sum, global)
-		c.Compute(perIter.Scale(0.3))
-
-		// Assign contiguous bucket ranges to ranks, balancing key counts.
-		bucketOwner := make([]int, p.Buckets)
-		targetPer := (wantCnt + int64(np) - 1) / int64(np)
-		owner, acc := 0, int64(0)
-		for b := 0; b < p.Buckets; b++ {
-			bucketOwner[b] = owner
-			acc += int64(global[b])
-			if acc >= targetPer && owner < np-1 {
-				owner++
-				acc = 0
-			}
-		}
-
-		// Pack keys per destination and exchange counts, then keys.
-		parts := make([][]int, np)
-		for _, k := range keys {
-			d := bucketOwner[k>>shift]
-			parts[d] = append(parts[d], k)
-		}
-		for d := 0; d < np; d++ {
-			sendCnt[d] = len(parts[d])
-		}
-		// Count exchange (the small alltoall preceding the v-exchange).
-		for s := 1; s < np; s++ {
-			dst := (c.Rank() + s) % np
-			src := (c.Rank() - s + np) % np
-			c.SendInts(dst, tagCounts, sendCnt[dst:dst+1])
-			one := make([]int, 1)
-			c.RecvInts(src, tagCounts, one)
-			recvCnt[src] = one[0]
-		}
-		recvCnt[c.Rank()] = sendCnt[c.Rank()]
-
-		// Key exchange (alltoallv): pairwise, skipping empty transfers.
-		recvd := parts[c.Rank()]
-		for s := 1; s < np; s++ {
-			dst := (c.Rank() + s) % np
-			src := (c.Rank() - s + np) % np
-			c.SendInts(dst, tagKeys, parts[dst])
-			buf := make([]int, recvCnt[src])
-			c.RecvInts(src, tagKeys, buf)
-			recvd = append(recvd, buf...)
-		}
-
-		// Local counting sort over the owned key range.
-		sort.Ints(recvd)
-		sorted = recvd
-		c.Compute(perIter.Scale(0.7))
-	}
-
-	// Full verification: local order (already sorted), boundary order with
-	// the neighbour, and conservation of count and sum.
-	vmsg := ""
-	ok := true
-	var mySum int64
-	for _, k := range sorted {
-		mySum += int64(k)
-	}
-	myMin, myMax := 0, 0
-	if len(sorted) > 0 {
-		myMin, myMax = sorted[0], sorted[len(sorted)-1]
-	}
-	if c.Rank() < np-1 {
-		c.SendInts(c.Rank()+1, tagBound, []int{myMax, len(sorted)})
-	}
-	if c.Rank() > 0 {
-		b := make([]int, 2)
-		c.RecvInts(c.Rank()-1, tagBound, b)
-		if len(sorted) > 0 && b[1] > 0 && b[0] > myMin {
-			ok = false
-			vmsg = fmt.Sprintf("boundary violation: left max %d > my min %d", b[0], myMin)
-		}
-	}
-	tot := []float64{float64(mySum), float64(len(sorted))}
-	c.Allreduce(mpi.Sum, tot)
-	if int64(tot[0]) != wantSum || int64(tot[1]) != wantCnt {
-		ok = false
-		vmsg = fmt.Sprintf("conservation violated: sum %v/%v count %v/%v",
-			int64(tot[0]), wantSum, int64(tot[1]), wantCnt)
-	}
-	flag := []float64{1}
-	if !ok {
-		flag[0] = 0
-	}
-	c.Allreduce(mpi.Min, flag)
-
-	res := &Result{Class: class, KeySum: wantSum, Verified: flag[0] == 1, Time: c.Clock()}
-	if res.Verified {
-		res.VerifyMsg = "VERIFICATION SUCCESSFUL"
-	} else {
-		res.VerifyMsg = "verification failed: " + vmsg
-	}
-	return res, nil
-}
 
 // Skeleton replays the IS communication pattern with phantom messages: a
 // bucket-count all-reduce and a uniform all-to-all of key payloads per

@@ -1,7 +1,6 @@
 package is
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/mpi"
@@ -9,94 +8,9 @@ import (
 	"repro/internal/platform"
 )
 
-func runIS(t *testing.T, np int, class npb.Class) *Result {
-	t.Helper()
-	var out *Result
-	_, err := mpi.RunOn(platform.Vayu(), np, func(c *mpi.Comm) error {
-		r, err := Run(c, class)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			out = r
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-func TestSerialVerifies(t *testing.T) {
-	r := runIS(t, 1, npb.ClassS)
-	if !r.Verified {
-		t.Fatalf("serial IS failed: %s", r.VerifyMsg)
-	}
-}
-
-func TestParallelVerifiesAndMatchesChecksum(t *testing.T) {
-	serial := runIS(t, 1, npb.ClassS)
-	for _, np := range []int{2, 4, 8, 16} {
-		par := runIS(t, np, npb.ClassS)
-		if !par.Verified {
-			t.Fatalf("np=%d failed: %s", np, par.VerifyMsg)
-		}
-		if par.KeySum != serial.KeySum {
-			t.Fatalf("np=%d key checksum %d != serial %d", np, par.KeySum, serial.KeySum)
-		}
-	}
-}
-
-func TestKeyGenerationDeterministicAndPartitioned(t *testing.T) {
-	p := npb.ISParamsFor(npb.ClassS)
-	whole := generateKeys(p, 1, 0)
-	if len(whole) != p.TotalKeys {
-		t.Fatalf("generated %d keys, want %d", len(whole), p.TotalKeys)
-	}
-	// The 4-rank chunks must concatenate to the serial sequence.
-	var cat []int
-	for r := 0; r < 4; r++ {
-		cat = append(cat, generateKeys(p, 4, r)...)
-	}
-	if len(cat) != len(whole) {
-		t.Fatalf("chunks give %d keys", len(cat))
-	}
-	for i := range whole {
-		if cat[i] != whole[i] {
-			t.Fatalf("key %d differs: %d vs %d", i, cat[i], whole[i])
-		}
-	}
-	for i, k := range whole {
-		if k < 0 || k >= p.MaxKey {
-			t.Fatalf("key %d = %d out of range", i, k)
-		}
-	}
-}
-
-func TestKeyDistributionCentered(t *testing.T) {
-	// Sum of four uniforms: mean MaxKey/2, concentrated middle.
-	p := npb.ISParamsFor(npb.ClassS)
-	keys := generateKeys(p, 1, 0)
-	var sum float64
-	for _, k := range keys {
-		sum += float64(k)
-	}
-	mean := sum / float64(len(keys))
-	mid := float64(p.MaxKey) / 2
-	if mean < 0.95*mid || mean > 1.05*mid {
-		t.Fatalf("key mean = %v, want ~%v", mean, mid)
-	}
-	sort.Ints(keys)
-	if keys[len(keys)/2] < int(0.9*mid) || keys[len(keys)/2] > int(1.1*mid) {
-		t.Fatalf("median %d far from %v", keys[len(keys)/2], mid)
-	}
-}
-
 func TestRejectsNonPowerOfTwo(t *testing.T) {
 	_, err := mpi.RunOn(platform.Vayu(), 3, func(c *mpi.Comm) error {
-		_, err := Run(c, npb.ClassS)
-		return err
+		return Skeleton(c, npb.ClassS)
 	})
 	if err == nil {
 		t.Fatal("np=3 should be rejected")

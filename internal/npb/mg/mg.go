@@ -1,41 +1,18 @@
-// Package mg implements the NPB MG kernel: V-cycle multigrid on a 3D
-// periodic grid with a 3D domain decomposition and six-face halo
-// exchanges at every level — the benchmark whose shrinking messages at
-// coarse levels make it latency-sensitive on the virtualised clusters.
-//
-// The full-math version solves the discrete Poisson problem with a
-// weighted-Jacobi smoother, full-weighting restriction and trilinear
-// interpolation (a documented simplification of NPB's 4-coefficient
-// stencils that preserves grid traversal, level structure and the comm3
-// halo-exchange pattern). The right-hand side follows zran3: +1 at the 10
-// globally largest and -1 at the 10 smallest points of the NPB random
-// field, located with a global merge.
+// Package mg implements the NPB MG kernel's communication skeleton:
+// V-cycle multigrid on a 3D periodic grid with a 3D domain decomposition
+// and six-face halo exchanges at every level, the benchmark whose
+// shrinking messages at coarse levels make it latency-sensitive on the
+// virtualised clusters.
 package mg
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"sync"
 
 	"repro/internal/mpi"
 	"repro/internal/npb"
 )
 
-// Result holds kernel outputs.
-type Result struct {
-	Class     npb.Class
-	RNorm     float64 // final residual L2 norm
-	InitNorm  float64 // pre-cycle residual norm
-	Verified  bool
-	VerifyMsg string
-	Time      float64
-}
-
-const (
-	tagFace = 21
-	omega   = 2.0 / 3.0 // weighted-Jacobi factor
-)
+const tagFace = 21
 
 // decomp is the 3D process grid and this rank's coordinates.
 type decomp struct {
@@ -75,448 +52,6 @@ func (d decomp) rankAt(x, y, z int) int {
 	y = (y + d.py) % d.py
 	z = (z + d.pz) % d.pz
 	return (z*d.py+y)*d.px + x
-}
-
-// level is one multigrid level's local block with 1-deep halos.
-type level struct {
-	n          int // global edge
-	lx, ly, lz int // local interior dims
-	u, v, r    []float64
-}
-
-func (l *level) idx(x, y, z int) int {
-	return (z*(l.ly+2)+y)*(l.lx+2) + x
-}
-
-// grid is one rank's full multigrid hierarchy.
-type grid struct {
-	d      decomp
-	levels []*level
-}
-
-func newGrid(p npb.GridParams, np, rank int) (*grid, error) {
-	d := newDecomp(np, rank)
-	g := &grid{d: d}
-	for n := p.N; n >= 4; n >>= 1 {
-		lx, ly, lz := n/d.px, n/d.py, n/d.pz
-		if lx < 2 || ly < 2 || lz < 2 {
-			break
-		}
-		l := &level{n: n, lx: lx, ly: ly, lz: lz}
-		sz := (lx + 2) * (ly + 2) * (lz + 2)
-		l.u = make([]float64, sz)
-		l.v = make([]float64, sz)
-		l.r = make([]float64, sz)
-		g.levels = append(g.levels, l)
-	}
-	if len(g.levels) == 0 {
-		return nil, fmt.Errorf("mg: np=%d too large for %d^3 grid", np, p.N)
-	}
-	return g, nil
-}
-
-// exchange updates the six halo faces of field f at level l, axis by axis
-// so edge/corner values propagate (comm3). Periodic boundaries.
-func (g *grid) exchange(c *mpi.Comm, l *level, f []float64) {
-	axes := []struct {
-		pdim  int
-		minus int // neighbour rank in -axis
-		plus  int
-	}{
-		{g.d.px, g.d.rankAt(g.d.rx-1, g.d.ry, g.d.rz), g.d.rankAt(g.d.rx+1, g.d.ry, g.d.rz)},
-		{g.d.py, g.d.rankAt(g.d.rx, g.d.ry-1, g.d.rz), g.d.rankAt(g.d.rx, g.d.ry+1, g.d.rz)},
-		{g.d.pz, g.d.rankAt(g.d.rx, g.d.ry, g.d.rz-1), g.d.rankAt(g.d.rx, g.d.ry, g.d.rz+1)},
-	}
-	for axis, a := range axes {
-		lo, hi := g.facePack(l, f, axis, true), g.facePack(l, f, axis, false)
-		if a.pdim == 1 {
-			// Periodic wrap within the rank: copy own faces across.
-			g.faceUnpack(l, f, axis, false, lo)
-			g.faceUnpack(l, f, axis, true, hi)
-			continue
-		}
-		// Send low face to -neighbour, receive its high face, then the
-		// reverse; pairwise Sendrecv avoids deadlock.
-		recvLo := make([]float64, len(lo))
-		recvHi := make([]float64, len(hi))
-		c.Sendrecv(a.minus, tagFace+2*axis, lo, a.plus, tagFace+2*axis, recvHi)
-		c.Sendrecv(a.plus, tagFace+2*axis+1, hi, a.minus, tagFace+2*axis+1, recvLo)
-		g.faceUnpack(l, f, axis, true, recvLo)  // halo below interior
-		g.faceUnpack(l, f, axis, false, recvHi) // halo above interior
-	}
-}
-
-// facePack extracts the interior boundary plane (low=true: first interior
-// plane) perpendicular to axis, including halos of other axes.
-func (g *grid) facePack(l *level, f []float64, axis int, low bool) []float64 {
-	var out []float64
-	switch axis {
-	case 0:
-		x := l.lx
-		if low {
-			x = 1
-		}
-		out = make([]float64, 0, (l.ly+2)*(l.lz+2))
-		for z := 0; z < l.lz+2; z++ {
-			for y := 0; y < l.ly+2; y++ {
-				out = append(out, f[l.idx(x, y, z)])
-			}
-		}
-	case 1:
-		y := l.ly
-		if low {
-			y = 1
-		}
-		out = make([]float64, 0, (l.lx+2)*(l.lz+2))
-		for z := 0; z < l.lz+2; z++ {
-			for x := 0; x < l.lx+2; x++ {
-				out = append(out, f[l.idx(x, y, z)])
-			}
-		}
-	default:
-		z := l.lz
-		if low {
-			z = 1
-		}
-		out = make([]float64, 0, (l.lx+2)*(l.ly+2))
-		for y := 0; y < l.ly+2; y++ {
-			for x := 0; x < l.lx+2; x++ {
-				out = append(out, f[l.idx(x, y, z)])
-			}
-		}
-	}
-	return out
-}
-
-// faceUnpack writes a received plane into the halo layer (low=true: halo
-// plane 0; low=false: halo plane dim+1).
-func (g *grid) faceUnpack(l *level, f []float64, axis int, low bool, data []float64) {
-	k := 0
-	switch axis {
-	case 0:
-		x := l.lx + 1
-		if low {
-			x = 0
-		}
-		for z := 0; z < l.lz+2; z++ {
-			for y := 0; y < l.ly+2; y++ {
-				f[l.idx(x, y, z)] = data[k]
-				k++
-			}
-		}
-	case 1:
-		y := l.ly + 1
-		if low {
-			y = 0
-		}
-		for z := 0; z < l.lz+2; z++ {
-			for x := 0; x < l.lx+2; x++ {
-				f[l.idx(x, y, z)] = data[k]
-				k++
-			}
-		}
-	default:
-		z := l.lz + 1
-		if low {
-			z = 0
-		}
-		for y := 0; y < l.ly+2; y++ {
-			for x := 0; x < l.lx+2; x++ {
-				f[l.idx(x, y, z)] = data[k]
-				k++
-			}
-		}
-	}
-}
-
-// applyA computes out = A*in on the interior (7-point Laplacian: 6u - sum
-// of neighbours). Halos of `in` must be current.
-func applyA(l *level, in, out []float64) {
-	for z := 1; z <= l.lz; z++ {
-		for y := 1; y <= l.ly; y++ {
-			for x := 1; x <= l.lx; x++ {
-				i := l.idx(x, y, z)
-				out[i] = 6*in[i] - in[i-1] - in[i+1] -
-					in[i-(l.lx+2)] - in[i+(l.lx+2)] -
-					in[i-(l.lx+2)*(l.ly+2)] - in[i+(l.lx+2)*(l.ly+2)]
-			}
-		}
-	}
-}
-
-// smooth performs one weighted-Jacobi sweep of A u = rhs in place.
-func (g *grid) smooth(c *mpi.Comm, l *level, u, rhs []float64) {
-	g.exchange(c, l, u)
-	tmp := make([]float64, len(u))
-	applyA(l, u, tmp)
-	for z := 1; z <= l.lz; z++ {
-		for y := 1; y <= l.ly; y++ {
-			for x := 1; x <= l.lx; x++ {
-				i := l.idx(x, y, z)
-				u[i] += omega / 6 * (rhs[i] - tmp[i])
-			}
-		}
-	}
-}
-
-// residual computes r = rhs - A u (halos of u refreshed).
-func (g *grid) residual(c *mpi.Comm, l *level, u, rhs, r []float64) {
-	g.exchange(c, l, u)
-	applyA(l, u, r)
-	for z := 1; z <= l.lz; z++ {
-		for y := 1; y <= l.ly; y++ {
-			for x := 1; x <= l.lx; x++ {
-				i := l.idx(x, y, z)
-				r[i] = rhs[i] - r[i]
-			}
-		}
-	}
-}
-
-// restrictTo projects fine.r onto coarse.v by averaging 2x2x2 blocks.
-func restrictTo(fine, coarse *level) {
-	for z := 1; z <= coarse.lz; z++ {
-		for y := 1; y <= coarse.ly; y++ {
-			for x := 1; x <= coarse.lx; x++ {
-				var s float64
-				for dz := 0; dz < 2; dz++ {
-					for dy := 0; dy < 2; dy++ {
-						for dx := 0; dx < 2; dx++ {
-							s += fine.r[fine.idx(2*x-1+dx, 2*y-1+dy, 2*z-1+dz)]
-						}
-					}
-				}
-				coarse.v[coarse.idx(x, y, z)] = s / 2 // restriction with 4x operator rescale
-			}
-		}
-	}
-}
-
-// prolongAdd adds the piecewise-constant prolongation of coarse.u into
-// fine.u.
-func prolongAdd(coarse, fine *level) {
-	for z := 1; z <= coarse.lz; z++ {
-		for y := 1; y <= coarse.ly; y++ {
-			for x := 1; x <= coarse.lx; x++ {
-				v := coarse.u[coarse.idx(x, y, z)]
-				for dz := 0; dz < 2; dz++ {
-					for dy := 0; dy < 2; dy++ {
-						for dx := 0; dx < 2; dx++ {
-							fine.u[fine.idx(2*x-1+dx, 2*y-1+dy, 2*z-1+dz)] += v
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// vcycle runs one V-cycle starting at level k (0 = finest), solving
-// A u_k = v_k.
-func (g *grid) vcycle(c *mpi.Comm, k int) {
-	l := g.levels[k]
-	if k == len(g.levels)-1 {
-		for s := 0; s < 4; s++ {
-			g.smooth(c, l, l.u, l.v)
-		}
-		return
-	}
-	g.smooth(c, l, l.u, l.v)
-	g.smooth(c, l, l.u, l.v)
-	g.residual(c, l, l.u, l.v, l.r)
-	coarse := g.levels[k+1]
-	restrictTo(l, coarse)
-	for i := range coarse.u {
-		coarse.u[i] = 0
-	}
-	g.vcycle(c, k+1)
-	prolongAdd(coarse, l)
-	g.smooth(c, l, l.u, l.v)
-	g.smooth(c, l, l.u, l.v)
-}
-
-// norm2 returns the global L2 norm of the interior of f at level l.
-func (g *grid) norm2(c *mpi.Comm, l *level, f []float64) float64 {
-	var s float64
-	for z := 1; z <= l.lz; z++ {
-		for y := 1; y <= l.ly; y++ {
-			for x := 1; x <= l.lx; x++ {
-				v := f[l.idx(x, y, z)]
-				s += v * v
-			}
-		}
-	}
-	buf := []float64{s}
-	c.Allreduce(mpi.Sum, buf)
-	n := float64(l.n)
-	return math.Sqrt(buf[0] / (n * n * n))
-}
-
-// chargePoint is a point-value pair used in the zran3-style charge search.
-type chargePoint struct {
-	val        float64
-	gx, gy, gz int
-}
-
-// setRHS fills the finest-level v following zran3: the NPB random field
-// (plane-seeded for np-invariance) with +1 at its 10 largest and -1 at its
-// 10 smallest points, 0 elsewhere.
-func (g *grid) setRHS(c *mpi.Comm) {
-	l := g.levels[0]
-	n := l.n
-	base := npb.NewLCG(314159265)
-	var tops, bots []chargePoint
-	vals := make([]float64, n) // one x-line at a time
-	for zl := 1; zl <= l.lz; zl++ {
-		gz := g.d.rz*l.lz + zl - 1
-		for yl := 1; yl <= l.ly; yl++ {
-			gy := g.d.ry*l.ly + yl - 1
-			// Line (gz, gy) starts at offset (gz*n + gy)*n in the stream.
-			stream := base.Jump(uint64(gz)*uint64(n)*uint64(n) + uint64(gy)*uint64(n))
-			stream.Fill(vals)
-			for xl := 1; xl <= l.lx; xl++ {
-				gx := g.d.rx*l.lx + xl - 1
-				v := vals[gx]
-				tops = append(tops, chargePoint{v, gx, gy, gz})
-				bots = append(bots, chargePoint{v, gx, gy, gz})
-			}
-			// Keep candidate lists short.
-			if len(tops) > 1024 {
-				tops = topK(tops, 10, true)
-				bots = topK(bots, 10, false)
-			}
-		}
-	}
-	tops = topK(tops, 10, true)
-	bots = topK(bots, 10, false)
-
-	// Merge candidates globally: allgather 10 (val, x, y, z) quadruples.
-	pack := func(pts []chargePoint) []float64 {
-		out := make([]float64, 40)
-		for i := 0; i < 10; i++ {
-			if i < len(pts) {
-				out[4*i] = pts[i].val
-				out[4*i+1] = float64(pts[i].gx)
-				out[4*i+2] = float64(pts[i].gy)
-				out[4*i+3] = float64(pts[i].gz)
-			} else {
-				out[4*i] = math.NaN()
-			}
-		}
-		return out
-	}
-	unpackAll := func(all []float64) []chargePoint {
-		var pts []chargePoint
-		for i := 0; i+3 < len(all); i += 4 {
-			if math.IsNaN(all[i]) {
-				continue
-			}
-			pts = append(pts, chargePoint{all[i], int(all[i+1]), int(all[i+2]), int(all[i+3])})
-		}
-		return pts
-	}
-	allTop := make([]float64, 40*c.Size())
-	c.Allgather(pack(tops), allTop)
-	allBot := make([]float64, 40*c.Size())
-	c.Allgather(pack(bots), allBot)
-	gTop := topK(unpackAll(allTop), 10, true)
-	gBot := topK(unpackAll(allBot), 10, false)
-
-	place := func(pts []chargePoint, val float64) {
-		for _, p := range pts {
-			if p.gx/l.lx == g.d.rx && p.gy/l.ly == g.d.ry && p.gz/l.lz == g.d.rz {
-				l.v[l.idx(p.gx%l.lx+1, p.gy%l.ly+1, p.gz%l.lz+1)] = val
-			}
-		}
-	}
-	place(gTop, 1)
-	place(gBot, -1)
-}
-
-// topK returns the k best points (largest when top, smallest otherwise),
-// with deterministic position tie-breaking.
-func topK(pts []chargePoint, k int, top bool) []chargePoint {
-	sort.Slice(pts, func(i, j int) bool {
-		a, b := pts[i], pts[j]
-		if a.val != b.val {
-			if top {
-				return a.val > b.val
-			}
-			return a.val < b.val
-		}
-		if a.gz != b.gz {
-			return a.gz < b.gz
-		}
-		if a.gy != b.gy {
-			return a.gy < b.gy
-		}
-		return a.gx < b.gx
-	})
-	if len(pts) > k {
-		pts = pts[:k]
-	}
-	return append([]chargePoint(nil), pts...)
-}
-
-// Run executes the MG benchmark. Every rank returns the same result.
-func Run(c *mpi.Comm, class npb.Class) (*Result, error) {
-	np := c.Size()
-	if !npb.ValidProcs("mg", np) {
-		return nil, fmt.Errorf("mg: %d processes (want a power of two)", np)
-	}
-	p := npb.MGParamsFor(class)
-	g, err := newGrid(p, np, c.Rank())
-	if err != nil {
-		return nil, err
-	}
-	total, err := npb.TotalWork("mg", class)
-	if err != nil {
-		return nil, err
-	}
-	perCycle := total.Scale(1 / float64(np) / float64(p.Niter))
-
-	g.setRHS(c)
-	fine := g.levels[0]
-	res := &Result{Class: class}
-	res.InitNorm = g.norm2(c, fine, fine.v)
-
-	for iter := 0; iter < p.Niter; iter++ {
-		g.vcycle(c, 0)
-		c.Compute(perCycle)
-	}
-	g.residual(c, fine, fine.u, fine.v, fine.r)
-	res.RNorm = g.norm2(c, fine, fine.r)
-	res.Time = c.Clock()
-
-	refMu.RLock()
-	ref, ok := rnormReference[class]
-	refMu.RUnlock()
-	if ok {
-		if math.Abs(res.RNorm-ref) <= 1e-8*math.Abs(ref) {
-			res.Verified = true
-			res.VerifyMsg = "VERIFICATION SUCCESSFUL"
-		} else {
-			res.VerifyMsg = fmt.Sprintf("verification failed: rnorm=%v, want %v", res.RNorm, ref)
-		}
-	} else {
-		res.VerifyMsg = "no reference norm for class"
-	}
-	return res, nil
-}
-
-// rnormReference holds self-generated golden residual norms. refMu
-// guards the map: goldens may be registered while concurrent simulations
-// verify against them.
-var (
-	refMu          sync.RWMutex
-	rnormReference = map[npb.Class]float64{}
-)
-
-// SetReference records a golden residual norm for a class.
-func SetReference(class npb.Class, rnorm float64) {
-	refMu.Lock()
-	rnormReference[class] = rnorm
-	refMu.Unlock()
 }
 
 // Skeleton replays MG's communication pattern: per V-cycle, face

@@ -1,32 +1,12 @@
 package mg
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/mpi"
 	"repro/internal/npb"
 	"repro/internal/platform"
 )
-
-func runMG(t *testing.T, np int, class npb.Class) *Result {
-	t.Helper()
-	var out *Result
-	_, err := mpi.RunOn(platform.Vayu(), np, func(c *mpi.Comm) error {
-		r, err := Run(c, class)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			out = r
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
 
 func TestFactor3(t *testing.T) {
 	cases := map[int][3]int{
@@ -50,47 +30,9 @@ func TestFactor3(t *testing.T) {
 	}
 }
 
-func TestResidualDecreases(t *testing.T) {
-	r := runMG(t, 1, npb.ClassS)
-	if r.InitNorm <= 0 {
-		t.Fatalf("initial norm = %v", r.InitNorm)
-	}
-	if r.RNorm >= r.InitNorm {
-		t.Fatalf("V-cycles did not reduce the residual: %v -> %v", r.InitNorm, r.RNorm)
-	}
-	if r.RNorm > 0.2*r.InitNorm {
-		t.Fatalf("poor multigrid convergence: %v -> %v after %d cycles",
-			r.InitNorm, r.RNorm, npb.MGParamsFor(npb.ClassS).Niter)
-	}
-}
-
-func TestParallelMatchesSerial(t *testing.T) {
-	serial := runMG(t, 1, npb.ClassS)
-	for _, np := range []int{2, 4, 8} {
-		par := runMG(t, np, npb.ClassS)
-		if math.Abs(par.RNorm-serial.RNorm) > 1e-9*serial.InitNorm {
-			t.Fatalf("np=%d: residual %v != serial %v", np, par.RNorm, serial.RNorm)
-		}
-		if math.Abs(par.InitNorm-serial.InitNorm) > 1e-9*serial.InitNorm {
-			t.Fatalf("np=%d: initial norm %v != serial %v", np, par.InitNorm, serial.InitNorm)
-		}
-	}
-}
-
-func TestGoldenVerification(t *testing.T) {
-	serial := runMG(t, 1, npb.ClassS)
-	SetReference(npb.ClassS, serial.RNorm)
-	again := runMG(t, 8, npb.ClassS)
-	if !again.Verified {
-		t.Fatalf("golden verification failed: %s", again.VerifyMsg)
-	}
-	delete(rnormReference, npb.ClassS)
-}
-
 func TestRejectsBadNP(t *testing.T) {
 	_, err := mpi.RunOn(platform.Vayu(), 6, func(c *mpi.Comm) error {
-		_, err := Run(c, npb.ClassS)
-		return err
+		return Skeleton(c, npb.ClassS)
 	})
 	if err == nil {
 		t.Fatal("np=6 should be rejected")

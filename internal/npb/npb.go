@@ -1,12 +1,13 @@
 // Package npb implements the NAS Parallel Benchmarks (NPB 3.3 MPI suite)
 // for the mpi runtime, as used in Figures 3–4 and Table II of the paper.
 //
-// Five kernels (EP, CG, FT, IS, MG) have full-math implementations whose
-// numerics are verified in tests; all eight (including the LU, BT and SP
-// pseudo-applications) have pattern-faithful skeletons that replay the
-// class-B communication structure with phantom messages and charge
-// calibrated computational work — the form used to regenerate the paper's
-// class-B results at up to 64 ranks.
+// All eight kernels (including the LU, BT and SP pseudo-applications) have
+// pattern-faithful skeletons that replay the class-B communication
+// structure with phantom messages and charge calibrated computational work
+// — the form used to regenerate the paper's class-B results at up to 64
+// ranks. EP and FT also have full-math implementations whose numerics are
+// verified in tests and whose MPI calls equal their skeletons' call for
+// call (suite.TestFullMathMatchesSkeleton).
 package npb
 
 import (

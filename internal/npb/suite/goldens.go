@@ -6,26 +6,22 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/npb"
-	"repro/internal/npb/cg"
 	"repro/internal/npb/ft"
-	"repro/internal/npb/mg"
 	"repro/internal/platform"
 )
 
 // Self-golden management. EP verifies against the official NPB reference
-// sums and IS against intrinsic invariants (order, conservation); CG, FT
-// and MG use substituted problem generators (see DESIGN.md), so their
-// references are trusted serial runs of this implementation. A parallel
-// run then verifies bit-for-bit decomposition independence against the
-// serial result.
+// sums. FT's initialisation path differs from ft.f's (see ft.go), so its
+// reference is a trusted serial run of this implementation; a parallel
+// run then verifies decomposition independence against the serial result.
 
 var goldensMu sync.Mutex
 var goldensDone = map[npb.Class]bool{}
 
-// RegisterGoldens runs CG, FT and MG serially at the given class on the
-// noise-free reference platform and records their outputs as verification
-// references. Idempotent per class. Classes A and above take real compute
-// time; S and W are near-instant.
+// RegisterGoldens runs FT serially at the given class on the reference
+// platform and records its checksums as the verification reference.
+// Idempotent per class. Classes A and above take real compute time; S
+// and W are near-instant.
 func RegisterGoldens(class npb.Class) error {
 	goldensMu.Lock()
 	defer goldensMu.Unlock()
@@ -34,19 +30,6 @@ func RegisterGoldens(class npb.Class) error {
 	}
 	p := platform.Vayu()
 
-	// CG.
-	if _, err := mpi.RunOn(p, 1, func(c *mpi.Comm) error {
-		r, err := cg.Run(c, class)
-		if err != nil {
-			return err
-		}
-		cg.SetReference(class, r.Zeta)
-		return nil
-	}); err != nil {
-		return fmt.Errorf("suite: cg golden: %w", err)
-	}
-
-	// FT.
 	if _, err := mpi.RunOn(p, 1, func(c *mpi.Comm) error {
 		r, err := ft.Run(c, class)
 		if err != nil {
@@ -56,18 +39,6 @@ func RegisterGoldens(class npb.Class) error {
 		return nil
 	}); err != nil {
 		return fmt.Errorf("suite: ft golden: %w", err)
-	}
-
-	// MG.
-	if _, err := mpi.RunOn(p, 1, func(c *mpi.Comm) error {
-		r, err := mg.Run(c, class)
-		if err != nil {
-			return err
-		}
-		mg.SetReference(class, r.RNorm)
-		return nil
-	}); err != nil {
-		return fmt.Errorf("suite: mg golden: %w", err)
 	}
 
 	goldensDone[class] = true

@@ -1,7 +1,8 @@
 // Package suite provides a registry over the eight NPB kernels so the
 // benchmark harness can run any of them uniformly: skeleton runners for
-// all eight (used at class B) and full-math runners for the five
-// implemented kernels (used for verification at the small classes).
+// all eight (used at class B) and full-math runners for EP and FT (used
+// for verification at the small classes), each of which issues exactly
+// its skeleton's MPI calls (TestFullMathMatchesSkeleton).
 package suite
 
 import (
@@ -46,8 +47,8 @@ type FullResult struct {
 // FullFunc runs a kernel's full-math implementation.
 type FullFunc func(c *mpi.Comm, class npb.Class) (*FullResult, error)
 
-// Fulls maps kernel names to full-math runners (EP, CG, FT, IS, MG; the
-// pseudo-applications LU/BT/SP are skeleton-only — see DESIGN.md).
+// Fulls maps kernel names to full-math runners. Only EP and FT have one;
+// the other six are skeleton-only (see DESIGN.md).
 var Fulls = map[string]FullFunc{
 	"ep": func(c *mpi.Comm, class npb.Class) (*FullResult, error) {
 		r, err := ep.Run(c, class)
@@ -56,33 +57,12 @@ var Fulls = map[string]FullFunc{
 		}
 		return &FullResult{"ep", class, r.Verified, r.VerifyMsg, r.Time}, nil
 	},
-	"cg": func(c *mpi.Comm, class npb.Class) (*FullResult, error) {
-		r, err := cg.Run(c, class)
-		if err != nil {
-			return nil, err
-		}
-		return &FullResult{"cg", class, r.Verified, r.VerifyMsg, r.Time}, nil
-	},
 	"ft": func(c *mpi.Comm, class npb.Class) (*FullResult, error) {
 		r, err := ft.Run(c, class)
 		if err != nil {
 			return nil, err
 		}
 		return &FullResult{"ft", class, r.Verified, r.VerifyMsg, r.Time}, nil
-	},
-	"is": func(c *mpi.Comm, class npb.Class) (*FullResult, error) {
-		r, err := is.Run(c, class)
-		if err != nil {
-			return nil, err
-		}
-		return &FullResult{"is", class, r.Verified, r.VerifyMsg, r.Time}, nil
-	},
-	"mg": func(c *mpi.Comm, class npb.Class) (*FullResult, error) {
-		r, err := mg.Run(c, class)
-		if err != nil {
-			return nil, err
-		}
-		return &FullResult{"mg", class, r.Verified, r.VerifyMsg, r.Time}, nil
 	},
 }
 

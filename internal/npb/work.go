@@ -64,25 +64,23 @@ func TotalWork(name string, class Class) (cpumodel.Work, error) {
 
 // CGParams holds the CG problem description.
 type CGParams struct {
-	NA     int // matrix order
-	Nonzer int // nonzeros per row parameter
-	Niter  int // outer iterations
-	Shift  float64
+	NA    int // matrix order
+	Niter int // outer iterations
 }
 
 // CGParamsFor returns the NPB CG parameters for a class.
 func CGParamsFor(class Class) CGParams {
 	switch class {
 	case ClassS:
-		return CGParams{NA: 1400, Nonzer: 7, Niter: 15, Shift: 10}
+		return CGParams{NA: 1400, Niter: 15}
 	case ClassW:
-		return CGParams{NA: 7000, Nonzer: 8, Niter: 15, Shift: 12}
+		return CGParams{NA: 7000, Niter: 15}
 	case ClassA:
-		return CGParams{NA: 14000, Nonzer: 11, Niter: 15, Shift: 20}
+		return CGParams{NA: 14000, Niter: 15}
 	case ClassB:
-		return CGParams{NA: 75000, Nonzer: 13, Niter: 75, Shift: 60}
+		return CGParams{NA: 75000, Niter: 75}
 	default: // C
-		return CGParams{NA: 150000, Nonzer: 15, Niter: 75, Shift: 110}
+		return CGParams{NA: 150000, Niter: 75}
 	}
 }
 
@@ -111,10 +109,9 @@ func FTParamsFor(class Class) FTParams {
 	}
 }
 
-// ISParams holds the IS key count and range.
+// ISParams holds the IS key count, bucket count and iterations.
 type ISParams struct {
 	TotalKeys int
-	MaxKey    int
 	Buckets   int
 	Niter     int
 }
@@ -123,15 +120,15 @@ type ISParams struct {
 func ISParamsFor(class Class) ISParams {
 	switch class {
 	case ClassS:
-		return ISParams{1 << 16, 1 << 11, 1 << 10, 10}
+		return ISParams{1 << 16, 1 << 10, 10}
 	case ClassW:
-		return ISParams{1 << 20, 1 << 16, 1 << 10, 10}
+		return ISParams{1 << 20, 1 << 10, 10}
 	case ClassA:
-		return ISParams{1 << 23, 1 << 19, 1 << 10, 10}
+		return ISParams{1 << 23, 1 << 10, 10}
 	case ClassB:
-		return ISParams{1 << 25, 1 << 21, 1 << 10, 10}
+		return ISParams{1 << 25, 1 << 10, 10}
 	default:
-		return ISParams{1 << 27, 1 << 23, 1 << 10, 10}
+		return ISParams{1 << 27, 1 << 10, 10}
 	}
 }
 
