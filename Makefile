@@ -3,7 +3,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race fmt vet lint lint-bench lint-sarif fuzz bench bench-smoke facility-smoke verify results clean
+.PHONY: all build test race fmt vet lint lint-sarif fuzz bench facility-smoke verify results clean
 
 all: build
 
@@ -34,12 +34,6 @@ lint: fmt vet
 lint-sarif: build
 	$(GO) run ./cmd/reprolint -sarif ./... > reprolint.sarif
 
-# The lint gate's own latency is a gated performance surface: time one
-# cold in-process reprolint sweep (load + type-check + all seven
-# analyzers) against the committed wall-clock budget. Writes nothing.
-lint-bench: build
-	$(GO) run ./cmd/bench -lint-bench
-
 test:
 	$(GO) test ./...
 
@@ -65,17 +59,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeManifest -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzParseChromeTrace -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/obs
 
-# Measure the perfbench suite (ns/op, B/op, allocs/op per member) with
-# the standard benchmark machinery. Measures only; the budgets are
-# bench-smoke's job, and end-to-end claims are paired hostbench A/B runs.
+# Measure the budgeted hot paths (message plane, OSU simulation, batch
+# facility) and gate their committed ns/op budgets; their allocation
+# budgets are tests, so `test` enforces them. -p 1 runs one package's
+# benchmarks at a time, so no two share the CPUs. End-to-end claims are
+# paired hostbench A/B runs.
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkSuite -benchmem .
-
-# Cheap regression gate: one AllocsPerRun pass per budgeted benchmark plus
-# a timed ns/op pass per wall-time-budgeted benchmark. Fails when the
-# message plane or the facility engine regresses past a committed budget.
-bench-smoke: build
-	$(GO) run ./cmd/bench
+	$(GO) test -p 1 -run '^$$' -bench . -benchmem ./internal/mpi ./internal/osu ./internal/facility
 
 # Batch-facility gate: a small seeded facility run (broker + spot, all
 # scheduler features on) executed twice; the runs must print byte-identical
@@ -98,13 +88,13 @@ facility-smoke: build
 	@echo "facility-smoke: run report deterministic and manifest valid"
 
 # The full local gate: static analysis (format, vet, reprolint), build,
-# tests, race tests, a short fuzz pass, the allocation/ns-budget smoke,
-# the lint-latency budget and the batch-facility smoke. Mirrors what CI
-# runs (.github/workflows/ci.yml) and writes nothing tracked, so the tree
-# stays clean. The smoke sweep's manifests and -j determinism are Go
+# tests (with the allocation and lint-latency budgets), race tests, a
+# short fuzz pass, the ns/op budgets and the batch-facility smoke.
+# Mirrors what CI runs (.github/workflows/ci.yml) and writes nothing
+# tracked, so the tree stays clean. The smoke sweep's manifests and -j determinism are Go
 # tests (TestReproSmokeManifest, TestArtefactManifests,
 # TestGoldenDeterminismSmoke), run by `test`.
-verify: lint build test race fuzz bench-smoke lint-bench facility-smoke
+verify: lint build test race fuzz bench facility-smoke
 	@echo "verify: all gates passed"
 
 # Regenerate the committed seed artefacts (full sweep, seed 0).

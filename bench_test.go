@@ -15,7 +15,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/npb"
 	"repro/internal/npb/suite"
-	"repro/internal/perfbench"
 	"repro/internal/platform"
 	"repro/internal/sched"
 )
@@ -205,21 +204,6 @@ func BenchmarkFig7Breakdown(b *testing.B) {
 		if _, err := experiments.Fig7Breakdown(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSuite runs every member of the committed perfbench suite —
-// the message-plane, world-churn, OSU and facility benchmarks whose
-// budgets `make verify` gates — as one sub-benchmark each, so `make
-// bench` measures exactly what cmd/bench gates.
-func BenchmarkSuite(b *testing.B) {
-	for _, bench := range perfbench.Suite() {
-		b.Run(bench.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bench.Op()
-			}
-		})
 	}
 }
 

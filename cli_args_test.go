@@ -44,6 +44,7 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 		{"npb", []string{"-bench", "zz", "-np", "3"}, `npb: unknown kernel "zz"`},
 		{"npb", []string{"-bench", "ep", "-class", "Z"}, `npb: unknown class "Z"`},
 		{"npb", []string{"-bench", "cg", "-mode", "full"}, "npb: kernel cg has no full-math implementation (full-math kernels: ep, ft)"},
+		{"npb", []string{"-bench", "ft", "-class", "S", "-np", "128"}, "ft: np=128 must divide ny=64 and nz=64"},
 		{"facility", []string{"-jobs", "0"}, "facility: workload needs positive Jobs (0)"},
 	}
 	for _, tc := range cases {

@@ -8,16 +8,14 @@
 //
 //	facility [-jobs 2000] [-tenants 200] [-slots 256] [-seed 0]
 //	         [-broker] [-spot] [-bid 0.60] [-trace jobs.txt]
-//	         [-swf trace.swf] [-sched heap|sort] [-stream]
+//	         [-swf trace.swf] [-stream]
 //	         [-emit-trace jobs.txt] [-manifest run.json]
 //
 // -swf replays a Standard Workload Format archive trace; records wider
 // than the HPC partition are skipped (and counted). -stream switches to
 // the streaming run path — per-job outcomes are folded into reservoir
 // statistics as they complete instead of being collected, which is how
-// million-job traces fit in bounded memory. -sched selects the
-// incremental heap scheduler (default) or the sort-per-pass oracle it
-// is validated against; both produce bit-identical schedules.
+// million-job traces fit in bounded memory.
 package main
 
 import (

@@ -15,8 +15,8 @@
 // validates and summarises manifests. `diff` compares the deterministic
 // fields of two manifests — metric deltas, artefact hashes, knobs — and
 // with -fail-on-diff exits nonzero when anything differs. Float-valued
-// fields (virtual time, metric totals) go through the shared
-// relative-tolerance comparator (perfbench.Within): -tolerance 0.05
+// fields (virtual time, metric totals) go through a relative-tolerance
+// comparator (within): -tolerance 0.05
 // accepts a 5% spread, the default 0 keeps the comparison exact.
 package main
 
@@ -24,12 +24,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/perfbench"
 	"repro/internal/report"
 )
 
@@ -323,7 +323,7 @@ func diffManifests(w io.Writer, a, b *obs.Manifest, tol float64) int {
 		note("faults: %s/%s vs %s/%s", orDash(a.FaultSpec), short(a.FaultDigest),
 			orDash(b.FaultSpec), short(b.FaultDigest))
 	}
-	if !perfbench.Within(a.VirtualSeconds, b.VirtualSeconds, tol) {
+	if !within(a.VirtualSeconds, b.VirtualSeconds, tol) {
 		note("virtual_seconds: %s vs %s (delta %s)",
 			report.FormatFloat(a.VirtualSeconds), report.FormatFloat(b.VirtualSeconds),
 			report.FormatFloat(b.VirtualSeconds-a.VirtualSeconds))
@@ -333,15 +333,28 @@ func diffManifests(w io.Writer, a, b *obs.Manifest, tol float64) int {
 	return diffs
 }
 
+// within reports whether a and b are equal within the relative tolerance
+// tol (of the larger magnitude). tol 0 demands exact equality; tol 0.05
+// accepts a 5% spread.
+func within(a, b, tol float64) bool {
+	if a == b {
+		return true
+	}
+	if tol <= 0 {
+		return false
+	}
+	return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b))
+}
+
 // metricsEqual compares the headline values of one metric within the
 // relative tolerance (histograms on both count and sum).
 func metricsEqual(a, b obs.Metric, tol float64) bool {
 	if a.Kind == "histogram" || b.Kind == "histogram" {
 		return a.Kind == b.Kind &&
-			perfbench.Within(float64(a.Count), float64(b.Count), tol) &&
-			perfbench.Within(float64(a.Sum), float64(b.Sum), tol)
+			within(float64(a.Count), float64(b.Count), tol) &&
+			within(float64(a.Sum), float64(b.Sum), tol)
 	}
-	return perfbench.Within(float64(a.Value), float64(b.Value), tol)
+	return within(float64(a.Value), float64(b.Value), tol)
 }
 
 // diffMetrics prints per-metric deltas and returns the difference count.

@@ -85,3 +85,26 @@ func TestDiffHistogramMetrics(t *testing.T) {
 		t.Fatalf("histogram sum jump: diff count = %d, want 1", got)
 	}
 }
+
+func TestWithin(t *testing.T) {
+	cases := []struct {
+		a, b, tol float64
+		want      bool
+	}{
+		{100, 100, 0, true},
+		{100, 100.0001, 0, false}, // tol 0 demands exactness
+		{100, 104, 0.05, true},
+		{100, 106, 0.05, false},
+		{0, 0, 0, true},
+		{-100, -104, 0.05, true},
+		{100, 300, 0.25, false},
+	}
+	for _, c := range cases {
+		if got := within(c.a, c.b, c.tol); got != c.want {
+			t.Errorf("within(%v, %v, %v) = %v, want %v", c.a, c.b, c.tol, got, c.want)
+		}
+		if within(c.a, c.b, c.tol) != within(c.b, c.a, c.tol) {
+			t.Errorf("within(%v, %v, %v) is not symmetric", c.a, c.b, c.tol)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // repoRoot walks up from the package directory to the module root.
@@ -28,11 +29,16 @@ func repoRoot(t *testing.T) string {
 // itself: the gate in make lint must hold for every commit, and the
 // analyzers' own package is part of the sweep (the tooling obeys the
 // rules it enforces).
+//
+// The sweep's own latency is gated too: lint runs on every commit, so an
+// analyzer gone quadratic in module size fails here rather than silently
+// doubling every CI run.
 func TestSelfCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
 	root := repoRoot(t)
+	t0 := time.Now()
 	loader := NewModuleLoader(root, ModulePath)
 	pkgs, err := loader.LoadAll()
 	if err != nil {
@@ -70,7 +76,17 @@ func TestSelfCheck(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("repo not reprolint-clean: %s", d)
 	}
+	if elapsed := time.Since(t0); elapsed > sweepBudget {
+		t.Errorf("reprolint sweep of %d packages took %v, budget %v: an analyzer has regressed",
+			len(pkgs), elapsed, sweepBudget)
+	}
 }
+
+// sweepBudget bounds TestSelfCheck's whole-module sweep: load,
+// type-check and every analyzer (measured ~3.0s on a 2-CPU host).
+// Generous headroom, because a cold sweep moves with the export-data
+// cache and the machine.
+const sweepBudget = 20 * time.Second
 
 func contains(xs []string, want string) bool {
 	for _, x := range xs {

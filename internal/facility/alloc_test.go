@@ -140,3 +140,99 @@ func TestStreamDigestAllocFree(t *testing.T) {
 		t.Errorf("warmed StreamDigest.Observe: %v allocs per outcome; want 0", a)
 	}
 }
+
+// Budgeted runs: the event loop at four- and five-digit tenancy, each
+// job streamed through backfill, fairshare and a static broker.
+// TestRunAllocBudgets asserts their allocation budgets, and
+// BenchmarkRun measures them and gates their wall time. Allocations
+// track tenants and slab chunks, not jobs or events: job records recycle
+// through a freelist, the pending heap, release profile and event queue
+// reuse their arrays, and arrivals stream from the job slice. A
+// regression to per-pass sorting copies or per-job allocation blows
+// through both budgets, which grow far slower than the 10x in jobs.
+//
+// The ns budgets sit at ~2x the steady state on a 2-CPU host, so a ~3x
+// regression (a sort-per-pass scheduler, an O(n) scan) trips them while
+// host variance plus nsTolerance stays inside the headroom. Re-baseline
+// after an intentional change by running `make bench` and setting them
+// to ~2x the new ns/op.
+const nsTolerance = 0.25
+
+var budgetedRuns = []struct {
+	name          string
+	jobs, tenants int
+	allocs        float64 // allocs per run
+	ns            float64 // ns per run
+}{
+	{"run-10k", 10000, 1000, 2400, 15e6},      // measured ~1060 allocs (tenant accounts, map growth), ~6.8ms
+	{"run-100k", 100000, 10000, 20000, 170e6}, // measured ~9820 allocs (~0.1 per job), ~73ms
+}
+
+// budgetedRun returns an op that runs a fresh facility over a seeded
+// jobs-job workload on 512 HPC slots and half as many in each cloud pool.
+func budgetedRun(tb testing.TB, jobs, tenants int) func() {
+	const slots = 512
+	wl, err := Generate(WorkloadSpec{Seed: 1, Jobs: jobs, Tenants: tenants, Slots: slots})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		f, err := New(Config{
+			Slots:     [NumPools]int{slots, slots / 2, slots / 2},
+			Backfill:  true,
+			Fairshare: true,
+			Broker: &Broker{
+				Factors: map[string][NumPools]float64{
+					"ep": {1, 1.1, 1.3}, "cg": {1, 1.8, 2.6}, "mg": {1, 1.5, 2.1},
+					"ft": {1, 1.9, 2.8}, "is": {1, 1.4, 1.9},
+				},
+				DefaultFactors: [NumPools]float64{1, 1.3, 2},
+			},
+			Prices: [NumPools]float64{0, 0.34, 0.68},
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		done := 0
+		if _, err := f.RunStream(wl, func(Outcome) { done++ }); err != nil {
+			tb.Fatal(err)
+		}
+		if done != len(wl) {
+			tb.Fatalf("run emitted %d of %d outcomes", done, len(wl))
+		}
+	}
+}
+
+func TestRunAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are asserted on the uninstrumented build")
+	}
+	for _, r := range budgetedRuns {
+		t.Run(r.name, func(t *testing.T) {
+			if got := testing.AllocsPerRun(1, budgetedRun(t, r.jobs, r.tenants)); got > r.allocs {
+				t.Errorf("%s allocated %.0f/run, budget %.0f", r.name, got, r.allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkRun measures every budgeted run and, on each call with
+// b.N > 1, fails one whose mean wall time exceeds its ns budget by more
+// than nsTolerance. The wall-clock gate lives here rather than in a test
+// because `go test ./...` runs package binaries side by side, whereas
+// `make bench` runs benchmarks one package at a time.
+func BenchmarkRun(b *testing.B) {
+	for _, r := range budgetedRuns {
+		b.Run(r.name, func(b *testing.B) {
+			op := budgetedRun(b, r.jobs, r.tenants)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+			if got := float64(b.Elapsed()) / float64(b.N); b.N > 1 && got > r.ns*(1+nsTolerance) {
+				b.Fatalf("%s took %.0f ns/op, budget %.0f (+%.0f%% tolerance)", r.name, got, r.ns, 100*nsTolerance)
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/cpumodel"
 	"repro/internal/platform"
 )
 
@@ -23,15 +24,7 @@ func assertNoMarginalAllocs(t *testing.T, np int, op func(c *Comm)) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	p := platform.EC2()
-	pl, err := cluster.Place(p, cluster.Spec{NP: np})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWorld(p, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := testWorld(t, platform.EC2(), cluster.Spec{NP: np})
 	allocs := func(k int) float64 {
 		return testing.AllocsPerRun(3, func() {
 			if _, err := w.Run(func(c *Comm) error {
@@ -110,5 +103,154 @@ func TestPhantomCollectivesAllocFree(t *testing.T) {
 		{"RingExchangeN/np6", 6, func(c *Comm) { c.RingExchangeN(1<<10, 3) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) { assertNoMarginalAllocs(t, tc.np, tc.op) })
+	}
+}
+
+// Budgeted operations: whole Runs of the message plane's hot paths, each
+// with a committed allocation budget that TestAllocBudgets asserts with
+// testing.AllocsPerRun and a benchmark in BenchmarkBudgeted that `make
+// bench` measures. The message counts are large enough that per-message
+// costs dominate the fixed per-Run cost (goroutines, rank-state slabs),
+// so allocs/run tracks the message plane, not the harness. The budgets
+// carry ~2x headroom over the pooled steady state; the pre-pooling code
+// exceeded each by an order of magnitude.
+//
+// ring-exchange also carries an ns/op budget, committed at ~2x its
+// steady state on a 2-CPU host so a ~3x regression trips it while host
+// variance plus nsTolerance stays inside the headroom. Re-baseline after
+// an intentional change by running `make bench` and setting it to ~2x
+// the new ns/op.
+const nsTolerance = 0.25
+
+var budgetedOps = []struct {
+	name   string
+	allocs float64 // allocs per op
+	ns     float64 // ns per op; 0 leaves the wall time ungated
+	op     func(tb testing.TB) func()
+}{
+	// Point-to-point throughput: 256 8-KiB payloads between two ranks on
+	// two nodes. Measured 23 allocs; 793 before pooling.
+	{"p2p-throughput", 64, 0, func(tb testing.TB) func() {
+		payload := make([]float64, 1024)
+		for i := range payload {
+			payload[i] = float64(i)
+		}
+		w := testWorld(tb, platform.Vayu(), cluster.Spec{NP: 2, Nodes: 2, Policy: cluster.Spread})
+		return runOp(tb, w, func(c *Comm) error {
+			if c.Rank() == 0 {
+				for i := 0; i < 256; i++ {
+					c.Send(1, 0, payload)
+				}
+				return nil
+			}
+			buf := make([]float64, 1024)
+			for i := 0; i < 256; i++ {
+				c.Recv(0, 0, buf)
+			}
+			return nil
+		})
+	}},
+	// 32 recursive-doubling allreduces of 256 elements over 8 ranks: the
+	// reduction scratch and round-trip messages of the KSp-style hot
+	// path. Measured 41 allocs; 2623 before pooling.
+	{"allreduce", 160, 0, func(tb testing.TB) func() {
+		return runOp(tb, testWorld(tb, platform.Vayu(), cluster.Spec{NP: 8}), func(c *Comm) error {
+			data := make([]float64, 256)
+			for i := 0; i < 32; i++ {
+				data[0] = float64(c.Rank() + i)
+				c.Allreduce(Sum, data)
+			}
+			return nil
+		})
+	}},
+	// 32 iterations of Chaste's KSp loop over 32 ranks, the chaste32
+	// inner loop: a compute charge, the ring halo with three neighbours
+	// on each side and two 4-byte all-reduces, evaluated as schedules at
+	// the rendezvous. Measured 112 allocs, the Run's fixed cost, and
+	// ~6.3ms. The halo played out as messages (~8.4ms) fits both
+	// budgets too; TestRingExchangeProgramLeasesNoMessages catches that.
+	{"ring-exchange", 360, 17e6, func(tb testing.TB) func() {
+		return runOp(tb, testWorld(tb, platform.Vayu(), cluster.Spec{NP: 32}), func(c *Comm) error {
+			for i := 0; i < 32; i++ {
+				c.Compute(cpumodel.Work{Flops: 1e6, Bytes: 1e6})
+				c.RingExchangeN(12<<10, 3)
+				c.AllreduceN(4)
+				c.AllreduceN(4)
+			}
+			return nil
+		})
+	}},
+	// Build, run and tear down a 64-rank world, the scheduler's steady
+	// state when artefact jobs regenerate in parallel. Measured 215
+	// allocs with pooled inboxes and slab comms; ~1620 when every world
+	// built its inboxes and per-rank records from scratch.
+	{"world-churn-64", 2200, 0, func(tb testing.TB) func() {
+		return func() {
+			if _, err := RunOn(platform.EC2(), 64, func(c *Comm) error {
+				c.Barrier()
+				c.AllreduceN(8)
+				return nil
+			}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}},
+}
+
+// testWorld places spec on p and builds its World. A World is reusable,
+// so ops run on one measure the steady state of a warmed world.
+func testWorld(tb testing.TB, p *platform.Platform, spec cluster.Spec) *World {
+	tb.Helper()
+	pl, err := cluster.Place(p, spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w, err := NewWorld(p, pl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w
+}
+
+// runOp returns an op that runs fn once on w.
+func runOp(tb testing.TB, w *World, fn func(c *Comm) error) func() {
+	return func() {
+		if _, err := w.Run(fn); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+func TestAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	for _, bo := range budgetedOps {
+		t.Run(bo.name, func(t *testing.T) {
+			if got := testing.AllocsPerRun(1, bo.op(t)); got > bo.allocs {
+				t.Errorf("%s allocated %.0f/run, budget %.0f", bo.name, got, bo.allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkBudgeted measures every budgeted op and, on each call with
+// b.N > 1, fails one whose mean wall time exceeds its ns budget by more
+// than nsTolerance. The wall-clock gate lives here rather than in a test
+// because `go test ./...` runs package binaries side by side, whereas
+// `make bench` runs benchmarks one package at a time.
+func BenchmarkBudgeted(b *testing.B) {
+	for _, bo := range budgetedOps {
+		b.Run(bo.name, func(b *testing.B) {
+			op := bo.op(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+			if got := float64(b.Elapsed()) / float64(b.N); b.N > 1 && bo.ns > 0 && got > bo.ns*(1+nsTolerance) {
+				b.Fatalf("%s took %.0f ns/op, budget %.0f (+%.0f%% tolerance)", bo.name, got, bo.ns, 100*nsTolerance)
+			}
+		})
 	}
 }

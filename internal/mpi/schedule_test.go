@@ -167,11 +167,11 @@ func TestRingExchangeScheduleMatchesMessages(t *testing.T) {
 }
 
 // TestRingExchangeProgramLeasesNoMessages is the deterministic gate
-// behind perfbench's mpi/ring-exchange member, whose allocation and
-// ns/op budgets the message path fits too: on a fault-free 32-rank
-// world, Chaste's KSp loop (a compute charge, the ring halo with three
-// neighbours on each side and two 4-byte all-reduces) must meter every
-// modelled send without leasing a single pooled message envelope.
+// behind the ring-exchange budgets (TestAllocBudgets,
+// BenchmarkBudgeted), which the message path fits too: on a fault-free
+// 32-rank world, Chaste's KSp loop (a compute charge, the ring halo with
+// three neighbours on each side and two 4-byte all-reduces) must meter
+// every modelled send without leasing a single pooled message envelope.
 func TestRingExchangeProgramLeasesNoMessages(t *testing.T) {
 	const np, iters, pairs = 32, 32, 3
 	reg := obs.NewRegistry()

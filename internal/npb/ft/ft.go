@@ -81,9 +81,18 @@ type grid struct {
 	line   []complex128
 }
 
-func newGrid(p npb.FTParams, np, rank int) (*grid, error) {
+// checkSlabs reports whether np ranks can each own whole z planes of
+// the slab form and whole y planes of the transposed form.
+func checkSlabs(p npb.FTParams, np int) error {
 	if p.NZ%np != 0 || p.NY%np != 0 {
-		return nil, fmt.Errorf("ft: np=%d must divide ny=%d and nz=%d", np, p.NY, p.NZ)
+		return fmt.Errorf("ft: np=%d must divide ny=%d and nz=%d", np, p.NY, p.NZ)
+	}
+	return nil
+}
+
+func newGrid(p npb.FTParams, np, rank int) (*grid, error) {
+	if err := checkSlabs(p, np); err != nil {
+		return nil, err
 	}
 	g := &grid{p: p, np: np, rank: rank}
 	g.zCnt = p.NZ / np
@@ -351,13 +360,17 @@ func SetReference(class npb.Class, sums []complex128) {
 
 // Skeleton replays FT's communication pattern: one alltoall per transform
 // whose per-pair block is 16*ntotal/np^2 bytes, plus the checksum
-// all-reduce, with calibrated per-transform work.
+// all-reduce, with calibrated per-transform work. It accepts exactly the
+// np that Run accepts.
 func Skeleton(c *mpi.Comm, class npb.Class) error {
 	np := c.Size()
 	if !npb.ValidProcs("ft", np) {
 		return fmt.Errorf("ft: %d processes (want a power of two)", np)
 	}
 	p := npb.FTParamsFor(class)
+	if err := checkSlabs(p, np); err != nil {
+		return err
+	}
 	total, err := npb.TotalWork("ft", class)
 	if err != nil {
 		return err

@@ -140,6 +140,28 @@ func TestInvalidProcessCounts(t *testing.T) {
 	}
 }
 
+// TestEntryPointsAcceptSameNP: the Skeleton that regenerates the
+// figures must refuse every decomposition the full math refuses, or it
+// times runs that cannot exist. Every power of two up to 256 ranks
+// covers both of Run's limits at classes S (ny = nz = 64) and W (nz = 32).
+func TestEntryPointsAcceptSameNP(t *testing.T) {
+	for _, class := range []npb.Class{npb.ClassS, npb.ClassW} {
+		for np := 1; np <= 256; np *= 2 {
+			_, runErr := mpi.RunOn(platform.Vayu(), np, func(c *mpi.Comm) error {
+				_, err := Run(c, class)
+				return err
+			})
+			_, skelErr := mpi.RunOn(platform.Vayu(), np, func(c *mpi.Comm) error {
+				return Skeleton(c, class)
+			})
+			if (runErr == nil) != (skelErr == nil) {
+				t.Errorf("class %s np %d: Run err %v, Skeleton err %v; want both nil or both non-nil",
+					class, np, runErr, skelErr)
+			}
+		}
+	}
+}
+
 func TestSkeletonCalibration(t *testing.T) {
 	res, err := mpi.RunOn(platform.DCC(), 1, func(c *mpi.Comm) error {
 		return Skeleton(c, npb.ClassB)
