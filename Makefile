@@ -41,7 +41,8 @@ race:
 	$(GO) test -race ./...
 
 # Short seeded-corpus fuzz passes over the fault plane, the facility's
-# spot execution model and the parsers of outside input (manifests,
+# spot execution model, the mpi deadlock diagnosis and windowed
+# schedules, and the parsers of outside input (manifests,
 # traces, -faults strings). Bounded by FUZZTIME so verify stays a fixed-cost gate; raise it
 # (make fuzz FUZZTIME=5m) for a real fuzzing session. The obs targets seed
 # from whole committed files, so their minimisation is capped: shrinking a
@@ -53,6 +54,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSpotRun -fuzztime $(FUZZTIME) ./internal/arrive
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime $(FUZZTIME) ./internal/pdes
 	$(GO) test -run '^$$' -fuzz FuzzDeadlockDiagnosis -fuzztime $(FUZZTIME) ./internal/mpi
+	$(GO) test -run '^$$' -fuzz FuzzWindowedProgram -fuzztime $(FUZZTIME) ./internal/mpi
 	$(GO) test -run '^$$' -fuzz FuzzWorkloadGen -fuzztime $(FUZZTIME) ./internal/facility
 	$(GO) test -run '^$$' -fuzz FuzzFacility -fuzztime $(FUZZTIME) ./internal/facility
 	$(GO) test -run '^$$' -fuzz FuzzParseSWF -fuzztime $(FUZZTIME) ./internal/facility

@@ -188,8 +188,11 @@ func Run(c *mpi.Comm, cfg Config) (*Stats, error) {
 			// SpMV boundary exchange with each mesh neighbour: per
 			// distance k, sends to rank±k, then receives from rank∓k,
 			// traced as the individual Sends and Recvs. A fault-free
-			// world evaluates it at one rendezvous instead of as
-			// messages (mpi.Comm.RingExchangeN), with identical clocks.
+			// world evaluates it as a schedule instead of as messages
+			// (mpi.Comm.RingExchangeN), with identical clocks: each rank
+			// logs the whole solve's halos, all-reduces and compute
+			// charges in a window and parks once, at the Clock() that
+			// closes the solve.
 			c.RingExchangeN(haloBytes, pairs)
 			// Two scalar dot products — the 4-byte all-reduces of the
 			// paper's IPM analysis.

@@ -82,8 +82,11 @@ func findRegion(regions []*regionEntry, name string) *regionEntry {
 	return nil
 }
 
-// rankCollector gathers events for one rank. All events for a rank arrive
-// from that rank's goroutine, so no locking is needed. Nothing on the
+// rankCollector gathers events for one rank. A rank's events arrive in
+// its program order, one at a time: from its own goroutine, or late from
+// the goroutine that evaluates its window of logged operations, ordered
+// by that communicator's slot mutex (see mpi.Tracer). No locking is
+// needed. Nothing on the
 // event path hashes: call names and regions are scanned slices, and the
 // only maps are the ones Snapshot and RegionCalls return.
 type rankCollector struct {

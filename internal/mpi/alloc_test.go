@@ -88,6 +88,9 @@ func TestComputeAllocFree(t *testing.T) {
 // reduce-plus-bcast trees (Allreduce otherwise), the dissemination
 // barrier, the pairwise exchange, the ring allgather and the ring halo
 // exchange (at np 6 its third distance meets rank+3 = rank-3 once).
+// The KSp cases log Chaste's solve in windows: read by a clock after
+// each 8-iteration solve, and never read, so that windows fill and
+// park full.
 func TestPhantomCollectivesAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -101,9 +104,26 @@ func TestPhantomCollectivesAllocFree(t *testing.T) {
 		{"AllgatherN/np6", 6, func(c *Comm) { c.AllgatherN(64) }},
 		{"RingExchangeN/np8", 8, func(c *Comm) { c.RingExchangeN(1<<10, 3) }},
 		{"RingExchangeN/np6", 6, func(c *Comm) { c.RingExchangeN(1<<10, 3) }},
+		{"KSp/np8", 8, func(c *Comm) {
+			for i := 0; i < 8; i++ {
+				kspIteration(c)
+			}
+			c.Clock()
+		}},
+		{"KSp-full-window/np8", 8, kspIteration},
 	} {
 		t.Run(tc.name, func(t *testing.T) { assertNoMarginalAllocs(t, tc.np, tc.op) })
 	}
+}
+
+// kspIteration is one iteration of Chaste's KSp loop: a compute charge,
+// the ring halo with three neighbours on each side and two 4-byte
+// all-reduces.
+func kspIteration(c *Comm) {
+	c.Compute(cpumodel.Work{Flops: 1e6, Bytes: 1e6})
+	c.RingExchangeN(12<<10, 3)
+	c.AllreduceN(4)
+	c.AllreduceN(4)
 }
 
 // Budgeted operations: whole Runs of the message plane's hot paths, each
@@ -165,17 +185,17 @@ var budgetedOps = []struct {
 	}},
 	// 32 iterations of Chaste's KSp loop over 32 ranks, the chaste32
 	// inner loop: a compute charge, the ring halo with three neighbours
-	// on each side and two 4-byte all-reduces, evaluated as schedules at
-	// the rendezvous. Measured 112 allocs, the Run's fixed cost, and
-	// ~6.3ms. The halo played out as messages (~8.4ms) fits both
-	// budgets too; TestRingExchangeProgramLeasesNoMessages catches that.
+	// on each side and two 4-byte all-reduces, logged in windows and
+	// evaluated as schedules. Measured 115 allocs, the Run's fixed cost,
+	// and ~2.5ms at GOMAXPROCS 2 (~5.8ms when every rank parked at each
+	// operation). The halo played out as messages (~8.4ms) and the
+	// per-operation parks both fit the budgets too;
+	// TestRingExchangeProgramLeasesNoMessages and
+	// TestKSpProgramParksOncePerSolve catch them.
 	{"ring-exchange", 360, 17e6, func(tb testing.TB) func() {
 		return runOp(tb, testWorld(tb, platform.Vayu(), cluster.Spec{NP: 32}), func(c *Comm) error {
 			for i := 0; i < 32; i++ {
-				c.Compute(cpumodel.Work{Flops: 1e6, Bytes: 1e6})
-				c.RingExchangeN(12<<10, 3)
-				c.AllreduceN(4)
-				c.AllreduceN(4)
+				kspIteration(c)
 			}
 			return nil
 		})

@@ -69,8 +69,10 @@ const (
 )
 
 // collective runs body with nested tracing suppressed and records the whole
-// operation as a single call, the way IPM reports MPI collectives.
+// operation as a single call, the way IPM reports MPI collectives. It
+// observes: the rank's logged phantom operations are evaluated first.
 func (c *Comm) collective(name string, bytes int, body func()) {
+	c.st.observe()
 	start := c.st.clock
 	c.st.quiet++
 	body()
@@ -81,7 +83,7 @@ func (c *Comm) collective(name string, bytes int, body func()) {
 // Barrier blocks until all ranks of the communicator reach it, using a
 // dissemination barrier (ceil(log2 p) rounds for any p).
 func (c *Comm) Barrier() {
-	c.collective("Barrier", 0, func() { c.phantom(collBarrier, 0) })
+	c.phantom(collBarrier, 0, 0)
 }
 
 // binomial runs the binomial-tree communication of a broadcast rooted at
@@ -162,13 +164,13 @@ func (c *Comm) Allreduce(op Op, data []float64) {
 // with phantom payloads (the skeleton workloads' workhorse: the paper's
 // KSp section is "entirely 4-byte all-reduce operations").
 func (c *Comm) AllreduceN(n int) {
-	c.collective("Allreduce", n, func() { c.phantom(collAllreduce, n) })
+	c.phantom(collAllreduce, n, n)
 }
 
 // AllgatherN performs a phantom allgather where each rank contributes n
 // bytes.
 func (c *Comm) AllgatherN(n int) {
-	c.collective("Allgather", n, func() { c.phantom(collAllgather, n) })
+	c.phantom(collAllgather, n, n)
 }
 
 // AlltoallComplex exchanges equal complex128 blocks (used by the FT
@@ -195,7 +197,7 @@ func (c *Comm) AlltoallComplex(send, recv []complex128) {
 // shrinks as 1/p^2, the effect the paper uses to explain FT's recovery at
 // high process counts on DCC.
 func (c *Comm) AlltoallN(blockBytes int) {
-	c.collective("Alltoall", blockBytes*c.Size(), func() { c.phantom(collAlltoall, blockBytes) })
+	c.phantom(collAlltoall, blockBytes, blockBytes*c.Size())
 }
 
 // Split partitions the communicator by color; ranks with equal color form

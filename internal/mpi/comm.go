@@ -35,6 +35,12 @@ type rankState struct {
 	quiet  int  // >0 suppresses tracing/accounting of nested operations
 	solo   bool // single-communicator phase: sender owns the whole NIC
 
+	// win is the slot holding this rank's open window of logged phantom
+	// operations, nil when it has none; winRank is the rank's index in
+	// that communicator. See schedule.go.
+	win     *slot
+	winRank int
+
 	deathAt   float64             // preemption time of this rank's node (+Inf: none)
 	throttles []cpumodel.Throttle // straggler windows from the fault plan
 }
@@ -99,23 +105,36 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// Clock returns the rank's current virtual time in seconds.
-func (c *Comm) Clock() float64 { return c.st.clock }
+// Clock returns the rank's current virtual time in seconds. It waits
+// for the rank's logged phantom operations to be evaluated.
+func (c *Comm) Clock() float64 {
+	c.st.observe()
+	return c.st.clock
+}
 
 // RNG returns this rank's deterministic random stream (for workload
-// generation that must differ by rank but stay reproducible).
-func (c *Comm) RNG() *sim.RNG { return c.st.rng }
+// generation that must differ by rank but stay reproducible). It waits
+// for the rank's logged phantom operations to be evaluated, so draw
+// from the stream before the rank's next operation, not after.
+func (c *Comm) RNG() *sim.RNG {
+	c.st.observe()
+	return c.st.rng
+}
 
 // SetSolo marks a phase in which effectively one rank communicates at a
 // time (e.g. a startup scatter from rank 0 while everyone else waits), so
 // the sender is not charged NIC contention from its idle node-mates. The
 // static contention model otherwise assumes bulk-synchronous phases where
 // all co-located ranks transmit concurrently.
-func (c *Comm) SetSolo(on bool) { c.st.solo = on }
+func (c *Comm) SetSolo(on bool) {
+	c.st.observe()
+	c.st.solo = on
+}
 
 // Region switches the active profiling region label recorded with
 // subsequent operations (IPM's MPI_Pcontrol sections).
 func (c *Comm) Region(name string) {
+	c.st.observe()
 	c.st.region = name
 	if t := c.st.world.tracer; t != nil {
 		t.Region(c.st.wrank, name, c.st.clock)
@@ -132,27 +151,38 @@ func (c *Comm) contention() cpumodel.Context {
 }
 
 // Compute charges the modelled cost of w to this rank's clock, including
-// the platform's compute jitter.
+// the platform's compute jitter. Behind a logged phantom operation it is
+// logged too, and charged when the window is evaluated.
 func (c *Comm) Compute(w cpumodel.Work) {
 	p := c.st.world.Platform
 	secs := p.CPU.Seconds(w, c.contention()) * p.ComputeOverhead
+	if c.st.logCompute(opCompute, secs) {
+		return
+	}
 	secs = p.ComputeJitter.Apply(c.st.rng, secs)
 	c.advance("compute", secs)
 }
 
 // ComputeSeconds charges raw virtual seconds of computation (no jitter,
-// no CPU scaling); used for calibrated fixed costs.
-func (c *Comm) ComputeSeconds(secs float64) { c.advance("compute", secs) }
+// no CPU scaling); used for calibrated fixed costs. Like Compute, it is
+// logged behind a logged phantom operation.
+func (c *Comm) ComputeSeconds(secs float64) {
+	if !c.st.logCompute(opSeconds, secs) {
+		c.advance("compute", secs)
+	}
+}
 
 // ReadShared charges the cost of reading n bytes from the platform's
 // shared filesystem while `readers` ranks read concurrently.
 func (c *Comm) ReadShared(n int64, readers int) {
+	c.st.observe()
 	c.advance("io", c.st.world.Platform.FS.ReadSeconds(n, readers))
 }
 
 // WriteShared charges the cost of writing n bytes to the shared filesystem
 // while `writers` ranks write concurrently.
 func (c *Comm) WriteShared(n int64, writers int) {
+	c.st.observe()
 	c.advance("io", c.st.world.Platform.FS.WriteSeconds(n, writers))
 }
 
@@ -352,12 +382,14 @@ func (st *rankState) recvCost(wsrc, bytes int, arrive float64) {
 // copied (into a pooled payload buffer), so the caller may reuse it
 // immediately.
 func (c *Comm) Send(dst, tag int, data []float64) {
+	c.st.observe()
 	start := c.sendF64(dst, tag, data)
 	c.record("Send", 8*len(data), start)
 }
 
 // SendInts transmits an int slice.
 func (c *Comm) SendInts(dst, tag int, data []int) {
+	c.st.observe()
 	m := c.leaseMessage()
 	m.kind = payloadInt
 	m.ints = grownInt(m.ints, len(data))
@@ -368,6 +400,7 @@ func (c *Comm) SendInts(dst, tag int, data []int) {
 
 // SendComplex transmits a complex128 slice.
 func (c *Comm) SendComplex(dst, tag int, data []complex128) {
+	c.st.observe()
 	m := c.leaseMessage()
 	m.kind = payloadCplx
 	m.cplx = grownCplx(m.cplx, len(data))
@@ -380,6 +413,7 @@ func (c *Comm) SendComplex(dst, tag int, data []complex128) {
 // cost is modelled but no payload is copied. Skeleton workloads use
 // this to replay class-B communication patterns cheaply.
 func (c *Comm) SendN(dst, tag, n int) {
+	c.st.observe()
 	start := c.sendPhantom(dst, tag, n)
 	c.record("Send", n, start)
 }
@@ -388,6 +422,7 @@ func (c *Comm) SendN(dst, tag, n int) {
 // payload into buf, returning the number of elements received. It panics
 // if the payload type mismatches or buf is too small (MPI truncation).
 func (c *Comm) Recv(src, tag int, buf []float64) int {
+	c.st.observe()
 	start := c.st.clock
 	m := c.recvRaw(src, tag)
 	n := copyFloat64(buf, m)
@@ -399,6 +434,7 @@ func (c *Comm) Recv(src, tag int, buf []float64) int {
 
 // RecvInts is Recv for int payloads.
 func (c *Comm) RecvInts(src, tag int, buf []int) int {
+	c.st.observe()
 	start := c.st.clock
 	m := c.recvRaw(src, tag)
 	n := copyInt(buf, m)
@@ -410,6 +446,7 @@ func (c *Comm) RecvInts(src, tag int, buf []int) int {
 
 // RecvComplex is Recv for complex128 payloads.
 func (c *Comm) RecvComplex(src, tag int, buf []complex128) int {
+	c.st.observe()
 	start := c.st.clock
 	m := c.recvRaw(src, tag)
 	n := copyComplex(buf, m)
@@ -421,6 +458,7 @@ func (c *Comm) RecvComplex(src, tag int, buf []complex128) int {
 
 // RecvN receives a phantom message and returns its modelled size in bytes.
 func (c *Comm) RecvN(src, tag int) int {
+	c.st.observe()
 	start := c.st.clock
 	m := c.recvRaw(src, tag)
 	if m.kind != payloadNone {
@@ -452,6 +490,7 @@ func (c *Comm) recvCombine(op Op, src, tag int, data []float64) {
 // receive of a phantom message from src, the staple of halo exchanges. It
 // cannot deadlock because sends are eager.
 func (c *Comm) SendrecvN(dst, sendTag, sendN, src, recvTag int) int {
+	c.st.observe()
 	start := c.st.clock
 	c.sendPhantom(dst, sendTag, sendN)
 	m := c.recvRaw(src, recvTag)

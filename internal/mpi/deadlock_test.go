@@ -15,7 +15,7 @@ import (
 // instead of timing out against the wall-clock watchdog, and that a
 // rank's own error outranks the deadlock it leaves its peers in. Ranks
 // parked at a collective's rendezvous count as blocked and are named
-// with the collective they wait in.
+// with the first operation of their window still unevaluated.
 func TestDeadlockDiagnosis(t *testing.T) {
 	cases := []struct {
 		name string
@@ -75,6 +75,29 @@ func TestDeadlockDiagnosis(t *testing.T) {
 			} else {
 				c.Barrier()
 			}
+			return nil
+		}, "mpi: deadlock: 2 rank(s) blocked with no runnable peer:" +
+			" rank 0 waiting in Allreduce (ctx=1, 2/2 entered) rank 1 waiting in Barrier (ctx=1, 2/2 entered)"},
+		{"skipped-collective-in-window", 4, func(c *mpi.Comm) error {
+			for i := 0; i < 3; i++ {
+				if c.Rank() != 3 || i != 1 {
+					c.AllreduceN(4) // rank 3 skips the second of three
+				}
+			}
+			c.Clock()
+			return nil
+		}, "mpi: deadlock: 3 rank(s) blocked with no runnable peer:" +
+			" rank 0 waiting in Allreduce (ctx=1, 3/4 entered) rank 1 waiting in Allreduce (ctx=1, 3/4 entered)" +
+			" rank 2 waiting in Allreduce (ctx=1, 3/4 entered)"},
+		{"mismatch-after-compute", 2, func(c *mpi.Comm) error {
+			c.AllreduceN(4)
+			c.ComputeSeconds(1e-3)
+			if c.Rank() == 0 {
+				c.AllreduceN(4)
+			} else {
+				c.Barrier()
+			}
+			c.Clock()
 			return nil
 		}, "mpi: deadlock: 2 rank(s) blocked with no runnable peer:" +
 			" rank 0 waiting in Allreduce (ctx=1, 2/2 entered) rank 1 waiting in Barrier (ctx=1, 2/2 entered)"},

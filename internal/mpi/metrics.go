@@ -39,7 +39,7 @@ type worldMetrics struct {
 
 // rankTally is one rank's message metering for the Run in flight: plain
 // integers, written only by the rank's own goroutine — or, while the
-// rank is parked at a collective's rendezvous, by the schedule
+// rank is parked with a window of logged phantom operations, by the
 // evaluator under the slot lock, exactly like its clock. Virtual-time
 // waits are rounded to nanoseconds per event, as Counter.AddSeconds
 // would, so the folded totals equal per-event metering. It lives in the

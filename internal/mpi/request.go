@@ -18,6 +18,7 @@ type Request struct {
 // is charged immediately (the NIC serialises outgoing messages); Wait is a
 // local no-op, mirroring eager-protocol MPI.
 func (c *Comm) IsendN(dst, tag, n int) *Request {
+	c.st.observe()
 	start := c.sendPhantom(dst, tag, n)
 	c.record("Isend", n, start)
 	return &Request{c: c, done: true}
@@ -37,6 +38,7 @@ func (c *Comm) Wait(r *Request) {
 	if r.done {
 		return
 	}
+	c.st.observe()
 	// Match on the communicator the request was posted on (its context id
 	// scopes the matching), which shares this rank's clock.
 	start := c.st.clock

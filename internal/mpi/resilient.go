@@ -91,6 +91,7 @@ func (c *Comm) Checkpoint(step int, bytes int64) {
 	if bytes < 0 {
 		panic("mpi: negative checkpoint size")
 	}
+	c.st.observe()
 	w := c.st.world
 	writers := c.Size()
 	shard := bytes / int64(writers)

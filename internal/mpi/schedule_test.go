@@ -16,29 +16,55 @@ import (
 type phantomOutcome struct {
 	exits   [][]float64    // per rank: clock after each collective
 	draws   []uint64       // per rank: the next draw of its random stream
-	records [][]CallRecord // per rank: every traced call
+	records [][]traceEvent // per rank: every tracer callback
 	metrics map[string]obs.Metric
 }
 
-// recordTracer keeps every rank's CallRecords; each rank appends only to
-// its own slice.
-type recordTracer struct{ calls [][]CallRecord }
+// traceEvent is one tracer callback: Op is "Call" (Rec set), "Advance"
+// (Kind, Start and Dur set) or "Region" (Kind is the name, Start the
+// time).
+type traceEvent struct {
+	Op         string
+	Rec        CallRecord
+	Kind       string
+	Start, Dur float64
+}
 
-func (t *recordTracer) Call(rank int, rec CallRecord)                     { t.calls[rank] = append(t.calls[rank], rec) }
-func (t *recordTracer) Advance(rank int, kind string, start, dur float64) {}
-func (t *recordTracer) Region(rank int, name string, at float64)          {}
+// recordTracer keeps every tracer callback of every rank in order; each
+// rank's callbacks append only to its own slice.
+type recordTracer struct{ events [][]traceEvent }
+
+func (t *recordTracer) Call(rank int, rec CallRecord) {
+	t.events[rank] = append(t.events[rank], traceEvent{Op: "Call", Rec: rec})
+}
+
+func (t *recordTracer) Advance(rank int, kind string, start, dur float64) {
+	t.events[rank] = append(t.events[rank], traceEvent{Op: "Advance", Kind: kind, Start: start, Dur: dur})
+}
+
+func (t *recordTracer) Region(rank int, name string, at float64) {
+	t.events[rank] = append(t.events[rank], traceEvent{Op: "Region", Kind: name, Start: at})
+}
 
 // runPhantoms drives every phantom collective at every size through body
 // (the message or the schedule path), on the world communicator and,
-// with split, on a reordered Split of it too.
+// with split, on a reordered Split of it too. body gets the bytes the
+// collective's CallRecord reports.
 func runPhantoms(t *testing.T, p *platform.Platform, np int, split bool, seed uint64,
-	body func(c *Comm, k collKind, n int)) phantomOutcome {
+	body func(c *Comm, k opKind, n, bytes int)) phantomOutcome {
 	t.Helper()
-	kinds := []collKind{collBarrier, collAllreduce, collAllgather, collAlltoall}
+	kinds := []opKind{collBarrier, collAllreduce, collAllgather, collAlltoall}
 	sizes := []int{0, 4, 8, 4096, 100 << 10}
 	return runPhantomCalls(t, p, np, split, seed, len(kinds)*len(sizes), func(cc *Comm, i int) {
 		k, n := kinds[i/len(sizes)], sizes[i%len(sizes)]
-		cc.collective(k.String(), n, func() { body(cc, k, n) })
+		bytes := n
+		switch k {
+		case collBarrier:
+			n, bytes = 0, 0
+		case collAlltoall:
+			bytes *= cc.Size()
+		}
+		body(cc, k, n, bytes)
 	})
 }
 
@@ -46,14 +72,13 @@ func runPhantoms(t *testing.T, p *platform.Platform, np int, split bool, seed ui
 // communicator and, with split, on a reordered Split of it too, and
 // collects what the two evaluation paths must agree on. Entry skew and
 // solo phases come from a test-owned stream, so both paths see
-// identical programs.
+// identical programs. The clock read after each call makes the schedule
+// path evaluate every operation before the next, as the message path
+// completes it.
 func runPhantomCalls(t *testing.T, p *platform.Platform, np int, split bool, seed uint64,
 	calls int, call func(cc *Comm, i int)) phantomOutcome {
 	t.Helper()
-	reg := obs.NewRegistry()
-	tr := &recordTracer{calls: make([][]CallRecord, np)}
-	out := phantomOutcome{exits: make([][]float64, np), draws: make([]uint64, np), records: tr.calls}
-	_, err := RunOn(p, np, func(c *Comm) error {
+	return runOutcome(t, p, np, seed, func(c *Comm, exits *[]float64) {
 		skew := sim.NewRNG(seed).Derive(uint64(c.Rank()))
 		comms := []*Comm{c}
 		if split {
@@ -64,23 +89,48 @@ func runPhantomCalls(t *testing.T, p *platform.Platform, np int, split bool, see
 				c.ComputeSeconds(skew.Float64() * 1e-4)
 				c.SetSolo(skew.Intn(4) == 0)
 				call(cc, i)
-				out.exits[c.Rank()] = append(out.exits[c.Rank()], c.Clock())
+				*exits = append(*exits, c.Clock())
 			}
 		}
 		c.SetSolo(false)
+	})
+}
+
+// runOutcome runs body on every rank of an np-rank world on p, with
+// body appending the rank's observed values to exits, and collects the
+// outcome: those values, each rank's next draw, every tracer callback
+// and the stable metrics.
+func runOutcome(tb testing.TB, p *platform.Platform, np int, seed uint64,
+	body func(c *Comm, exits *[]float64)) phantomOutcome {
+	tb.Helper()
+	reg := obs.NewRegistry()
+	tr := &recordTracer{events: make([][]traceEvent, np)}
+	out := phantomOutcome{exits: make([][]float64, np), draws: make([]uint64, np), records: tr.events}
+	_, err := RunOn(p, np, func(c *Comm) error {
+		body(c, &out.exits[c.Rank()])
 		out.draws[c.Rank()] = c.RNG().Uint64()
 		return nil
 	}, WithTracer(tr), WithMetrics(reg), WithSeed(seed))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	out.metrics = reg.Snapshot(false)
 	return out
 }
 
 // samePhantomOutcome fails t unless the schedule path's outcome got
-// equals the message path's want, rank by rank.
+// equals the message path's want, rank by rank, and the message path
+// sent something.
 func samePhantomOutcome(t *testing.T, np int, got, want phantomOutcome) {
+	t.Helper()
+	if np > 1 && want.metrics["mpi_sends_total"].Value == 0 {
+		t.Fatal("the message path sent nothing")
+	}
+	sameOutcome(t, np, got, want)
+}
+
+// sameOutcome fails t unless got equals want, rank by rank.
+func sameOutcome(t testing.TB, np int, got, want phantomOutcome) {
 	t.Helper()
 	for r := 0; r < np; r++ {
 		if !reflect.DeepEqual(got.exits[r], want.exits[r]) {
@@ -90,11 +140,8 @@ func samePhantomOutcome(t *testing.T, np int, got, want phantomOutcome) {
 			t.Errorf("rank %d next draw: got %d, want %d", r, got.draws[r], want.draws[r])
 		}
 		if !reflect.DeepEqual(got.records[r], want.records[r]) {
-			t.Errorf("rank %d call records:\n got %+v\nwant %+v", r, got.records[r], want.records[r])
+			t.Errorf("rank %d tracer callbacks:\n got %+v\nwant %+v", r, got.records[r], want.records[r])
 		}
-	}
-	if np > 1 && want.metrics["mpi_sends_total"].Value == 0 {
-		t.Fatal("the message path sent nothing")
 	}
 	if !reflect.DeepEqual(got.metrics, want.metrics) {
 		t.Errorf("stable metrics:\n got %+v\nwant %+v", got.metrics, want.metrics)
@@ -105,8 +152,8 @@ func samePhantomOutcome(t *testing.T, np int, got, want phantomOutcome) {
 // evaluating fault-free phantom collectives at a rendezvous: for any
 // communicator size, platform, entry skew, solo mix and message size,
 // on world and Split communicators, the schedule path reproduces the
-// message path's exit clocks, random streams, CallRecords and stable
-// metrics exactly.
+// message path's exit clocks, random streams, tracer callbacks and
+// stable metrics exactly.
 func TestPhantomScheduleMatchesMessages(t *testing.T) {
 	plats := []*platform.Platform{platform.Vayu(), platform.DCC(), platform.EC2()}
 	nps := []int{1, 2, 3, 5, 7, 8, 16, 31, 32, 48, 64}
@@ -118,10 +165,10 @@ func TestPhantomScheduleMatchesMessages(t *testing.T) {
 			for _, split := range []bool{false, true} {
 				p, np, split, seed := p, np, split, uint64(100*i+j)
 				t.Run(fmt.Sprintf("%s/np%d/split=%v", p.Name, np, split), func(t *testing.T) {
-					want := runPhantoms(t, p, np, split, seed, (*Comm).phantomMessages)
-					got := runPhantoms(t, p, np, split, seed, func(c *Comm, k collKind, n int) {
-						c.rendezvous(slotRank{kind: k, n: n})
+					want := runPhantoms(t, p, np, split, seed, func(c *Comm, k opKind, n, bytes int) {
+						c.collective(k.String(), bytes, func() { c.phantomMessages(k, n) })
 					})
+					got := runPhantoms(t, p, np, split, seed, (*Comm).phantom)
 					samePhantomOutcome(t, np, got, want)
 				})
 			}

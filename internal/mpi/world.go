@@ -16,11 +16,12 @@
 // exchange real messages that carry their virtual arrival times. The
 // fault-free phantom collectives Barrier, AllreduceN, AllgatherN and
 // AlltoallN are fully synchronising, so they are evaluated as schedules
-// instead: each rank parks once at its communicator's rendezvous, and
-// the last to enter charges the algorithm's rounds through the same
-// per-message cost code (see schedule.go). The fault-free RingExchangeN
-// halo takes the same path. Clocks, CallRecords and message counters are
-// the same as the message path's, bit for bit.
+// instead, as is the fault-free RingExchangeN halo. A rank logs them, and
+// the compute charges between them, in a window and keeps running; it
+// parks only when it observes virtual time, and the last rank of the
+// communicator to park charges every window's rounds through the same
+// per-message cost code (see schedule.go). Clocks, CallRecords and
+// message counters are the same as the message path's, bit for bit.
 //
 // Misuse (rank out of range, type-mismatched receive, truncation) panics
 // with a descriptive message, mirroring MPI's error-aborts; World.Run
@@ -41,10 +42,12 @@ import (
 )
 
 // Tracer observes per-rank activity. Implementations must tolerate
-// concurrent calls for different ranks; calls for one rank are sequential.
-// They need not come from the rank's own goroutine: the Sends and Recvs
-// of a RingExchangeN evaluated at a rendezvous are traced by the rank
-// that evaluates it while the others stay parked.
+// concurrent calls for different ranks. Calls for one rank come in that
+// rank's program order, one at a time, but possibly late and from
+// another rank's goroutine: the collectives, ring Sends and Recvs and
+// compute charges a rank logged in a window are traced by the rank that
+// evaluates the window while the logging rank stays parked. The slot
+// mutex orders those calls before and after the rank's own.
 type Tracer interface {
 	// Call records one completed communication operation.
 	Call(rank int, rec CallRecord)
@@ -340,7 +343,10 @@ func (w *World) Run(fn func(c *Comm) error) (*Result, error) {
 					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
 				}
 			}()
-			errs[rank] = fn(&comms[rank])
+			// Returning observes: the rank's clock must be final.
+			if errs[rank] = fn(&comms[rank]); errs[rank] == nil {
+				comms[rank].st.observe()
+			}
 		}(r)
 	}
 
