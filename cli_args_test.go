@@ -25,7 +25,7 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 		t.Skipf("go tool not on PATH: %v", err)
 	}
 	dir := t.TempDir()
-	build := exec.Command(gobin, "build", "-o", dir, "./cmd/arrive", "./cmd/chaste", "./cmd/facility", "./cmd/metum", "./cmd/npb")
+	build := exec.Command(gobin, "build", "-o", dir, "./cmd/arrive", "./cmd/chaste", "./cmd/facility", "./cmd/metum", "./cmd/npb", "./cmd/repro")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -46,6 +46,7 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 		{"npb", []string{"-bench", "cg", "-mode", "full"}, "npb: kernel cg has no full-math implementation (full-math kernels: ep, ft)"},
 		{"npb", []string{"-bench", "ft", "-class", "S", "-np", "128"}, "ft: np=128 must divide ny=64 and nz=64"},
 		{"facility", []string{"-jobs", "0"}, "facility: workload needs positive Jobs (0)"},
+		{"repro", []string{"-cpuprofile", filepath.Join(dir, "missing", "cpu.prof")}, "repro: -cpuprofile: open "},
 	}
 	for _, tc := range cases {
 		out, err := exec.Command(filepath.Join(dir, tc.bin), tc.args...).CombinedOutput()

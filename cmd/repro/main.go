@@ -12,6 +12,13 @@
 //
 //	repro [-out results] [-only fig1,fig4,table3] [-quick] [-j N]
 //	      [-seed N] [-nocache] [-cache DIR] [-check] [-faults mtbf=600,ckpt=3]
+//	      [-cpuprofile FILE]
+//
+// -cpuprofile writes a CPU profile of the artefact run in which every
+// sample carries the label artefact=<id> of the job it was taken in, so
+// one sweep profile splits by artefact with the stock tool:
+//
+//	go tool pprof -tagfocus artefact=fac2 repro cpu.prof
 //
 // The fault1 artefact (E12) sweeps MetUM time-to-solution over MTBF and
 // checkpoint-interval classes on all three platforms; -faults subjects
@@ -21,11 +28,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -54,9 +63,22 @@ func main() {
 	sweepName := flag.String("sweep", "",
 		"explicit sweep resolution: full, quick or smoke (overrides -quick)")
 	manifest := flag.String("manifest", "", "write a top-level run-manifest JSON to this file")
+	cpuprofile := flag.String("cpuprofile", "",
+		"write a CPU profile of the artefact run to this file, each sample labelled artefact=<id>")
 	sink := trace.AddFlag()
 	flag.Parse()
 	start := time.Now()
+
+	var profile *os.File
+	if *cpuprofile != "" {
+		if *check {
+			fatal(fmt.Errorf("-cpuprofile profiles artefact runs, not -check"))
+		}
+		var err error
+		if profile, err = os.Create(*cpuprofile); err != nil {
+			fatal(fmt.Errorf("-cpuprofile: %w", err))
+		}
+	}
 
 	cache := openCache(*out, *cacheDir, *nocache)
 
@@ -102,6 +124,12 @@ func main() {
 		fatal(err)
 	}
 
+	if profile != nil {
+		labelJobs(jobs)
+		if err := pprof.StartCPUProfile(profile); err != nil {
+			fatal(fmt.Errorf("-cpuprofile: %w", err))
+		}
+	}
 	reg := obs.NewRegistry()
 	results, runErr := sched.Run(jobs, sched.Options{
 		Workers: *workers,
@@ -109,6 +137,12 @@ func main() {
 		OnEvent: progress,
 		Metrics: reg,
 	})
+	if profile != nil {
+		pprof.StopCPUProfile()
+		if err := profile.Close(); err != nil {
+			fatal(fmt.Errorf("-cpuprofile: %w", err))
+		}
+	}
 	if results == nil {
 		fatal(runErr)
 	}
@@ -178,6 +212,21 @@ func writeRunManifest(path string, sweep experiments.Sweep, seed uint64,
 		Metrics:        reg.Snapshot(true),
 		Artefacts:      obs.HashArtefacts(files),
 	})
+}
+
+// labelJobs makes each job run under the pprof label artefact=<id>.
+// Goroutines a job starts (the ranks of its simulated worlds) inherit
+// the label, so every CPU sample taken for the job carries it.
+func labelJobs(jobs []sched.Job) {
+	for i := range jobs {
+		id, run := jobs[i].ID, jobs[i].Run
+		jobs[i].Run = func(ctx *sched.Ctx) (files map[string][]byte, err error) {
+			pprof.Do(context.Background(), pprof.Labels("artefact", id), func(context.Context) {
+				files, err = run(ctx)
+			})
+			return files, err
+		}
+	}
 }
 
 // openCache resolves the cache flags; nil disables caching.

@@ -145,11 +145,14 @@ func TestStreamDigestAllocFree(t *testing.T) {
 // job streamed through backfill, fairshare and a static broker.
 // TestRunAllocBudgets asserts their allocation budgets, and
 // BenchmarkRun measures them and gates their wall time. Allocations
-// track tenants and slab chunks, not jobs or events: job records recycle
-// through a freelist, the pending heap, release profile and event queue
-// reuse their arrays, and arrivals stream from the job slice. A
-// regression to per-pass sorting copies or per-job allocation blows
-// through both budgets, which grow far slower than the 10x in jobs.
+// track account chunks, slab chunks and the tenant-index map's growth,
+// not tenants, jobs or events: fairshare accounts live 256 to a chunk,
+// job records recycle through a freelist, the pending heap, release
+// profile and event queue reuse their arrays, and arrivals stream from
+// the job slice. The budgets sit at ~2x the measured counts, so a
+// return to one heap object per tenant account (1000 and 10000 more
+// allocations), per-pass sorting copies or per-job allocation fails
+// them.
 //
 // The ns budgets sit at ~2x the steady state on a 2-CPU host, so a ~3x
 // regression (a sort-per-pass scheduler, an O(n) scan) trips them while
@@ -164,8 +167,8 @@ var budgetedRuns = []struct {
 	allocs        float64 // allocs per run
 	ns            float64 // ns per run
 }{
-	{"run-10k", 10000, 1000, 2400, 15e6},      // measured ~1060 allocs (tenant accounts, map growth), ~6.8ms
-	{"run-100k", 100000, 10000, 20000, 170e6}, // measured ~9820 allocs (~0.1 per job), ~73ms
+	{"run-10k", 10000, 1000, 160, 15e6},     // measured 79 allocs (account and slab chunks, map growth), ~5.5ms
+	{"run-100k", 100000, 10000, 360, 170e6}, // measured 181 allocs, ~62ms
 }
 
 // budgetedRun returns an op that runs a fresh facility over a seeded

@@ -73,23 +73,26 @@ func (b *Broker) maxSlowdown() float64 {
 	return b.MaxSlowdown
 }
 
-// factor returns the class's projected runtime multiplier on pool,
-// always exactly 1 on the HPC reference.
-func (b *Broker) factor(class string, pool Pool) float64 {
-	if pool == PoolHPC {
-		return 1
-	}
+// factors resolves the class's projected runtime multiplier on every
+// pool with one Factors lookup: exactly 1 on the HPC reference, else
+// the class's positive factor, the positive default, or 1.
+func (b *Broker) factors(class string) [NumPools]float64 {
 	fs, ok := b.Factors[class]
 	if !ok {
 		fs = b.DefaultFactors
 	}
-	if v := fs[pool]; v > 0 {
-		return v
+	out := [NumPools]float64{PoolHPC: 1}
+	for p := PoolHPC + 1; p < NumPools; p++ {
+		switch {
+		case fs[p] > 0:
+			out[p] = fs[p]
+		case b.DefaultFactors[p] > 0:
+			out[p] = b.DefaultFactors[p]
+		default:
+			out[p] = 1
+		}
 	}
-	if v := b.DefaultFactors[pool]; v > 0 {
-		return v
-	}
-	return 1
+	return out
 }
 
 // route scores each feasible pool as estimated-queue-wait + projected
@@ -97,17 +100,18 @@ func (b *Broker) factor(class string, pool Pool) float64 {
 // lowest pool id, so static HPC placement is the deterministic default.
 // If the slowdown filter rejects every pool that could physically hold
 // the job, the filter is waived — a job must always land somewhere.
-func (b *Broker) route(j Job, f *Facility) Pool {
-	if p, ok := b.pick(j, f, true); ok {
+func (b *Broker) route(rec *jobRec, f *Facility) Pool {
+	if p, ok := b.pick(rec, f, true); ok {
 		return p
 	}
-	if p, ok := b.pick(j, f, false); ok {
+	if p, ok := b.pick(rec, f, false); ok {
 		return p
 	}
 	return PoolHPC // unreachable for validated jobs
 }
 
-func (b *Broker) pick(j Job, f *Facility, filter bool) (Pool, bool) {
+func (b *Broker) pick(rec *jobRec, f *Facility, filter bool) (Pool, bool) {
+	j := &rec.job
 	best := PoolHPC
 	bestScore := math.Inf(1)
 	found := false
@@ -116,7 +120,7 @@ func (b *Broker) pick(j Job, f *Facility, filter bool) (Pool, bool) {
 		if ps.slots < j.NP {
 			continue
 		}
-		fac := f.factor(j.Class, p)
+		fac := rec.factors[p]
 		if filter && p != PoolHPC && fac > b.maxSlowdown() {
 			continue
 		}

@@ -313,8 +313,13 @@ type jobRec struct {
 	// aggregate; subtracting the identical float on start keeps the
 	// incremental sum exact per job.
 	qwork float64
-	// acct caches the tenant's fairshare account (heap scheduler only),
-	// so staleness checks are a pointer load, not a map lookup.
+	// factors is the job's projected runtime multiplier on each pool,
+	// resolved from the broker once at arrival (all 1 without one).
+	factors [NumPools]float64
+	// acct is the tenant's dense fairshare account, interned ahead of
+	// arrival (see internAhead); nil without fairshare. Both schedulers
+	// and the charge on completion read it, so no tenant name is
+	// hashed past arrival.
 	acct *tenantUsage
 
 	reserved      float64
@@ -407,6 +412,12 @@ type Facility struct {
 	emit     func(Outcome)
 	finished int
 
+	// ahead holds the dense account indices of the tenants of the
+	// arrivals at cursor positions aheadAt, aheadAt+1, ...: up to
+	// internWindow of them, interned in arrival order.
+	ahead   []int32
+	aheadAt int
+
 	chunk   []jobRec    // slab the next fresh records come from
 	freed   []*jobRec   // recycled records
 	scratch []heapEntry // backfill keep-list, reused across passes
@@ -471,7 +482,7 @@ func (f *Facility) RunStream(jobs []Job, emit func(Outcome)) (StreamResult, erro
 		f.events++
 		switch e.Rank {
 		case kindArrive:
-			rec := f.alloc(int(e.Seq))
+			rec := f.alloc(int(e.Seq), f.next-1)
 			pool := f.route(rec)
 			rec.pool = pool
 			f.enqueue(f.pools[pool], rec)
@@ -561,8 +572,10 @@ func (f *Facility) validateJob(j Job) error {
 	return nil
 }
 
-// alloc returns a fresh record for job i, reusing recycled ones.
-func (f *Facility) alloc(i int) *jobRec {
+// alloc returns a fresh record for job i, the arrival at cursor
+// position pos, reusing recycled ones. The record carries the job's
+// per-pool factors and (with fairshare) its tenant's account.
+func (f *Facility) alloc(i, pos int) *jobRec {
 	var rec *jobRec
 	if n := len(f.freed); n > 0 {
 		rec = f.freed[n-1]
@@ -574,11 +587,46 @@ func (f *Facility) alloc(i int) *jobRec {
 		rec = &f.chunk[0]
 		f.chunk = f.chunk[1:]
 	}
-	*rec = jobRec{job: f.jobs[i], seq: i, state: StateQueued}
+	*rec = jobRec{job: f.jobs[i], seq: i, state: StateQueued, factors: [NumPools]float64{1, 1, 1}}
 	if rec.job.Limit == 0 {
 		rec.job.Limit = rec.job.Runtime
 	}
+	if f.cfg.Broker != nil {
+		rec.factors = f.cfg.Broker.factors(rec.job.Class)
+	}
+	if f.cfg.Fairshare {
+		if pos-f.aheadAt >= len(f.ahead) {
+			f.internAhead(pos)
+		}
+		rec.acct = f.share.at(f.ahead[pos-f.aheadAt])
+	}
 	return rec
+}
+
+// internWindow bounds how many upcoming arrivals internAhead interns
+// at once: the run's interning state stays a fixed-size window, not a
+// per-job array.
+const internWindow = 1024
+
+// internAhead interns the tenants of the next internWindow arrivals
+// from cursor position pos on, in arrival order, so a tenant's account
+// index depends only on when it first arrives, never on its name: a
+// bijective relabeling of tenants leaves every index, and the schedule,
+// unchanged.
+func (f *Facility) internAhead(pos int) {
+	if f.ahead == nil {
+		f.ahead = make([]int32, 0, internWindow)
+	}
+	end := min(pos+internWindow, len(f.jobs))
+	f.ahead = f.ahead[:0]
+	for q := pos; q < end; q++ {
+		i := q
+		if f.arrivals != nil {
+			i = f.arrivals[q]
+		}
+		f.ahead = append(f.ahead, f.share.intern(f.jobs[i].Tenant))
+	}
+	f.aheadAt = pos
 }
 
 // pushLater schedules a completion or wake event carrying rec. Its Seq
@@ -592,14 +640,13 @@ func (f *Facility) pushLater(at float64, kind int, rec *jobRec) {
 // enqueue adds rec to its pool's pending set and the queued-work
 // aggregate (the stored qwork makes the later subtraction exact).
 func (f *Facility) enqueue(p *poolState, rec *jobRec) {
-	rec.qwork = float64(rec.job.NP) * f.planDur(rec) * f.factor(rec.job.Class, p.id)
+	rec.qwork = float64(rec.job.NP) * f.planDur(rec) * rec.factors[p.id]
 	p.qWork += rec.qwork
 	if f.cfg.sched == schedSort {
 		p.queue = append(p.queue, rec)
 		return
 	}
-	if f.cfg.Fairshare {
-		rec.acct = f.share.acct(rec.job.Tenant)
+	if rec.acct != nil {
 		p.pend.push(heapEntry{key: rec.acct.key(f.share.half), gen: rec.acct.gen, rec: rec})
 		return
 	}
@@ -632,14 +679,11 @@ func (f *Facility) complete(rec *jobRec) {
 	} else if p.id == PoolHPC {
 		p.profile.remove(f.releaseAt(rec), rec.seq)
 	}
-	// Charge through the account the fairshare heap scheduler cached on
-	// enqueue, else look the tenant up. Only fairshare may set rec.acct:
+	// Only fairshare reads usage, so only fairshare runs keep accounts:
 	// the heap scheduler reads a non-nil acct as a fairshare key.
-	acct := rec.acct
-	if acct == nil {
-		acct = f.share.acct(rec.job.Tenant)
+	if rec.acct != nil {
+		f.share.charge(rec.acct, f.clock, rec.charge*float64(rec.job.NP))
 	}
-	f.share.charge(acct, f.clock, rec.charge*float64(rec.job.NP))
 	if rec.state == StateKilled {
 		f.met.killed.Inc()
 	} else {
@@ -671,7 +715,7 @@ func (f *Facility) start(p *poolState, rec *jobRec) {
 	}
 	f.met.started.Inc()
 
-	factor := f.factor(rec.job.Class, p.id)
+	factor := rec.factors[p.id]
 	base := rec.job.Runtime * factor
 	limit := rec.job.Limit * factor
 
@@ -714,15 +758,6 @@ func (f *Facility) releaseAt(rec *jobRec) float64 {
 		at = rec.end
 	}
 	return at
-}
-
-// factor returns the class's projected runtime multiplier on pool
-// (1 everywhere without a broker, and always exactly 1 on HPC).
-func (f *Facility) factor(class string, pool Pool) float64 {
-	if pool == PoolHPC || f.cfg.Broker == nil {
-		return 1
-	}
-	return f.cfg.Broker.factor(class, pool)
 }
 
 // planDur returns the planning bound used for reservations and backfill
@@ -784,7 +819,7 @@ func (f *Facility) route(rec *jobRec) Pool {
 	if f.cfg.Broker == nil {
 		return PoolHPC
 	}
-	return f.cfg.Broker.route(rec.job, f)
+	return f.cfg.Broker.route(rec, f)
 }
 
 // estWait estimates pool p's queue wait at the current clock: total

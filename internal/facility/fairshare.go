@@ -10,6 +10,13 @@ import "math"
 // alone can never reshuffle the queue, which keeps scheduling passes
 // cheap and the schedule a pure function of the charge sequence.
 //
+// Accounts are dense: intern gives each tenant name an index on first
+// sight, and the accounts live in fixed-size chunks, so an account's
+// address never moves and a run allocates one chunk per acctChunk
+// tenants instead of one object per tenant. The facility interns each
+// arriving job's tenant once and caches the account pointer in the
+// job record; nothing past arrival hashes a tenant name.
+//
 // charge is the only mutator: queries (usageAt, key) compute the decay
 // on the fly without folding it into the stored value, so the account
 // book's state is identical no matter how often — or from which
@@ -17,8 +24,12 @@ import "math"
 type shareTracker struct {
 	half    float64
 	weights map[string]float64
-	usage   map[string]*tenantUsage
+	index   map[string]int32
+	chunks  [][]tenantUsage
 }
+
+// acctChunk is the number of accounts per storage chunk.
+const acctChunk = 256
 
 // tenantUsage is one tenant's account: value slot-seconds decayed to
 // time at, the tenant's cached weight, and a charge generation counter
@@ -34,27 +45,35 @@ func newShareTracker(halfLife float64, weights map[string]float64) *shareTracker
 	if halfLife == 0 {
 		halfLife = 86400
 	}
-	return &shareTracker{half: halfLife, weights: weights, usage: map[string]*tenantUsage{}}
+	return &shareTracker{half: halfLife, weights: weights, index: map[string]int32{}}
 }
 
-// acct returns the tenant's account, creating an empty one on first use.
-func (s *shareTracker) acct(tenant string) *tenantUsage {
-	u, ok := s.usage[tenant]
-	if !ok {
-		w := 1.0
-		if s.weights != nil {
-			if ww, ok := s.weights[tenant]; ok {
-				w = ww
-			}
-		}
-		u = &tenantUsage{w: w}
-		s.usage[tenant] = u
+// intern returns the tenant's dense account index, creating an empty
+// account (weighted from the config, unlisted = 1) on first sight.
+func (s *shareTracker) intern(tenant string) int32 {
+	if i, ok := s.index[tenant]; ok {
+		return i
 	}
-	return u
+	i := int32(len(s.index))
+	if int(i)%acctChunk == 0 {
+		s.chunks = append(s.chunks, make([]tenantUsage, acctChunk))
+	}
+	w := 1.0
+	if ww, ok := s.weights[tenant]; ok {
+		w = ww
+	}
+	s.at(i).w = w
+	s.index[tenant] = i
+	return i
 }
 
-// charge bills slot-seconds to account u (from acct) at time t, folding
-// the decay since the previous charge into the stored value.
+// at returns the account with dense index i (from intern).
+func (s *shareTracker) at(i int32) *tenantUsage {
+	return &s.chunks[i/acctChunk][i%acctChunk]
+}
+
+// charge bills slot-seconds to account u at time t, folding the decay
+// since the previous charge into the stored value.
 func (s *shareTracker) charge(u *tenantUsage, t, slotSeconds float64) {
 	if t > u.at {
 		u.value *= math.Exp2(-(t - u.at) / s.half)
@@ -64,17 +83,13 @@ func (s *shareTracker) charge(u *tenantUsage, t, slotSeconds float64) {
 	u.gen++
 }
 
-// usageAt returns the tenant's weight-normalised decayed usage at t —
+// usageAt returns the account's weight-normalised decayed usage at t —
 // the fairshare sort key (lower = higher priority). Tenants that never
-// ran sort first, then by (submit, seq).
-func (s *shareTracker) usageAt(tenant string, t float64) float64 {
-	u, ok := s.usage[tenant]
-	if !ok {
-		return 0
-	}
+// ran sit at 0 and sort first, then by (submit, seq).
+func (u *tenantUsage) usageAt(t, half float64) float64 {
 	v := u.value
 	if t > u.at {
-		v *= math.Exp2(-(t - u.at) / s.half)
+		v *= math.Exp2(-(t - u.at) / half)
 	}
 	return v / u.w
 }

@@ -210,10 +210,11 @@ func TestQuickFairshareUsageDecays(t *testing.T) {
 		a, b := float64(aRaw)+1, float64(bRaw)+1
 		dt := float64(dtRaw) * 100
 		s := newShareTracker(3600, nil)
-		s.charge(s.acct("a"), 0, a)
-		s.charge(s.acct("b"), 0, b)
-		ua0, ub0 := s.usageAt("a", 0), s.usageAt("b", 0)
-		ua1, ub1 := s.usageAt("a", dt), s.usageAt("b", dt)
+		ua, ub := s.at(s.intern("a")), s.at(s.intern("b"))
+		s.charge(ua, 0, a)
+		s.charge(ub, 0, b)
+		ua0, ub0 := ua.usageAt(0, s.half), ub.usageAt(0, s.half)
+		ua1, ub1 := ua.usageAt(dt, s.half), ub.usageAt(dt, s.half)
 		if (ua0 > ub0) != (ua1 > ub1) && ua1 != ub1 {
 			return false // decay alone reordered two tenants
 		}

@@ -27,7 +27,7 @@ func (f *Facility) sortQueue(p *poolState) {
 	}
 	keys := make([]keyed, len(p.queue))
 	for i, r := range p.queue {
-		keys[i] = keyed{f.share.usageAt(r.job.Tenant, f.clock), r}
+		keys[i] = keyed{r.acct.usageAt(f.clock, f.share.half), r}
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]

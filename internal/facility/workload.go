@@ -85,6 +85,76 @@ func shapeOf(class string) classShape {
 	return classShape{0.10, math.Log(300), 0.8, 1, 5}
 }
 
+// zipfCum returns the cumulative Zipf(0.8) activity of n tenants: entry
+// i is the summed weight of tenants 0..i, so a uniform draw in
+// [0, total) picks tenant i with probability proportional to
+// 1/(i+1)^0.8.
+func zipfCum(n int) []float64 {
+	cum := make([]float64, n)
+	total := 0.0
+	for i := range cum {
+		total += 1 / math.Pow(float64(i+1), 0.8)
+		cum[i] = total
+	}
+	return cum
+}
+
+// cumGuide is a guide table (Chen and Asau's indexed search) over a
+// non-decreasing cumulative table: search(x) returns exactly
+// sort.SearchFloat64s(cum, x), the first index with cum[i] >= x, but
+// binary-searches only the few entries of x's bucket instead of the
+// whole table.
+//
+// Bucket b(x) = min(int(x*scale), len(guide)-2) is monotone in x, and
+// guide[k] is the first index whose entry lies in bucket k or later. If
+// b(x) = k, the answer i has cum[i] >= x, so b(cum[i]) >= k and
+// i >= guide[k]; and cum[guide[k+1]] lies in a later bucket than x, so
+// it is > x and i <= guide[k+1].
+type cumGuide struct {
+	cum   []float64
+	scale float64 // buckets per unit of the cumulative total
+	guide []int32 // len(cum)/guideStride+1 buckets, plus the end sentinel
+}
+
+// guideStride is the mean number of table entries per bucket: coarse
+// enough that the int32 guide takes a quarter of the float64 table's
+// bytes, fine enough that a bucket's binary search is a few probes.
+const guideStride = 2
+
+func newCumGuide(cum []float64) cumGuide {
+	n := len(cum)
+	m := n/guideStride + 1
+	g := cumGuide{cum: cum, scale: float64(m) / cum[n-1], guide: make([]int32, m+1)}
+	k := 0
+	for i, c := range cum {
+		for b := g.bucket(c); k <= b; k++ {
+			g.guide[k] = int32(i)
+		}
+	}
+	for ; k <= m; k++ {
+		g.guide[k] = int32(n)
+	}
+	return g
+}
+
+func (g *cumGuide) bucket(x float64) int {
+	return min(int(x*g.scale), len(g.guide)-2)
+}
+
+func (g *cumGuide) search(x float64) int {
+	k := g.bucket(x)
+	lo, hi := int(g.guide[k]), int(g.guide[k+1])
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g.cum[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // Generate produces the seeded synthetic job stream: Zipf-weighted
 // tenant activity (a few heavy groups, a long tail), Poisson arrivals
 // scaled so the offered load hits the spec's utilization target,
@@ -116,17 +186,15 @@ func Generate(spec WorkloadSpec) ([]Job, error) {
 	limitR := root.Derive(5)
 	arrR := root.Derive(6)
 
-	// Zipf(0.8) tenant activity, cumulative for binary-search sampling.
-	tenantCum := make([]float64, spec.Tenants)
-	total := 0.0
-	for i := range tenantCum {
-		total += 1 / math.Pow(float64(i+1), 0.8)
-		tenantCum[i] = total
-	}
+	tenantCum := zipfCum(spec.Tenants)
+	total := tenantCum[len(tenantCum)-1]
+	tenants := newCumGuide(tenantCum)
+	shapes := make([]classShape, len(classes))
 	classCum := make([]float64, len(classes))
 	classTotal := 0.0
 	for i, c := range classes {
-		w := shapeOf(c).weight
+		shapes[i] = shapeOf(c)
+		w := shapes[i].weight
 		if uniform {
 			w = 1
 		}
@@ -141,9 +209,9 @@ func Generate(spec WorkloadSpec) ([]Job, error) {
 	var demand, at float64
 	for i := range jobs {
 		at += arrR.Exponential(1)
-		tenant := sort.SearchFloat64s(tenantCum, tenantR.Float64()*total)
-		class := classes[sort.SearchFloat64s(classCum, classR.Float64()*classTotal)]
-		sh := shapeOf(class)
+		tenant := tenants.search(tenantR.Float64() * total)
+		ci := sort.SearchFloat64s(classCum, classR.Float64()*classTotal)
+		class, sh := classes[ci], shapes[ci]
 
 		np := sh.npMin << sizeR.Intn(sh.npExp+1)
 		if np > maxNP {

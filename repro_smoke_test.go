@@ -1,8 +1,10 @@
 package repro
 
 import (
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -88,5 +90,54 @@ func TestReproSmokeManifest(t *testing.T) {
 		if _, err := obs.ReadManifest(path); err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestReproCPUProfile runs a smoke fac1 regeneration with -cpuprofile:
+// the profile must be written, non-empty and a valid gzip stream (the
+// pprof wire format), and the artefacts must still be written beside
+// it. Skipped in -short mode and under the race detector, like
+// TestReproSmokeManifest.
+func TestReproCPUProfile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cmd/repro build skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("cmd/repro build skipped under the race detector")
+	}
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skipf("go tool not on PATH: %v", err)
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "repro")
+	if out, err := exec.Command(gobin, "build", "-o", bin, "./cmd/repro").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/repro: %v\n%s", err, out)
+	}
+	outDir := filepath.Join(dir, "out")
+	prof := filepath.Join(dir, "cpu.prof")
+	cmd := exec.Command(bin, "-sweep", "smoke", "-only", "fac1", "-nocache", "-j", "1",
+		"-out", outDir, "-cpuprofile", prof)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("repro -only fac1 -cpuprofile: %v\n%s", err, out)
+	}
+	f, err := os.Open(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("%s is not a gzip stream: %v", prof, err)
+	}
+	n, err := io.Copy(io.Discard, zr)
+	if err != nil {
+		t.Fatalf("%s: %v", prof, err)
+	}
+	if n == 0 {
+		t.Fatalf("%s decompresses to an empty profile", prof)
+	}
+	if _, err := os.Stat(filepath.Join(outDir, "fac1.manifest.json")); err != nil {
+		t.Errorf("profiled run wrote no fac1 manifest: %v", err)
 	}
 }

@@ -72,10 +72,13 @@ func TestCommittedManifestDigests(t *testing.T) {
 // TestPDES1FullSweepGolden regenerates artefacts at their committed full
 // sweep and byte-compares every file, manifest included, with results/:
 // the E13 large-scale artefact (pdes1: class-B skeletons at 1024-16384
-// ranks, the largest worlds any artefact builds) and chaste32 (the
-// 32-core Chaste IPM breakdown, whose KSp halo and all-reduces run
-// through the rendezvous schedule evaluator). Skipped in -short mode and
-// under the race detector.
+// ranks, the largest worlds any artefact builds), chaste32 (the 32-core
+// Chaste IPM breakdown, whose KSp halo and all-reduces run through the
+// rendezvous schedule evaluator), and the two batch-facility artefacts
+// fac1 (E14) and fac2 (E15, up to a million jobs from 10^5 tenants),
+// which pin the facility's per-job path: tenant interning, fairshare
+// accounts, broker factors and the generator's tenant draws. Skipped in
+// -short mode and under the race detector.
 func TestPDES1FullSweepGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-sweep regeneration skipped in -short mode")
@@ -83,7 +86,7 @@ func TestPDES1FullSweepGolden(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full-sweep regeneration skipped under the race detector")
 	}
-	for _, id := range []string{"pdes1", "chaste32"} {
+	for _, id := range []string{"pdes1", "chaste32", "fac1", "fac2"} {
 		t.Run(id, func(t *testing.T) {
 			jobs, err := experiments.Jobs(experiments.SweepFull, 0, []string{id})
 			if err != nil {
