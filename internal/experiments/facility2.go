@@ -51,6 +51,11 @@ func (x *Ctx) TableE15FacilityScale() (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every rung runs on the same spot market; facilities only read it.
+	spot, err := facility.MarketSpot(x.Seed, 0.60, 24*28, 1<<28)
+	if err != nil {
+		return nil, err
+	}
 	t := &report.Table{
 		Title: "E15: facility scale ladder, streaming statistics (broker+spot, incremental scheduler)",
 		Headers: []string{"jobs", "tenants", "slots", "events", "makespan(s)",
@@ -61,10 +66,6 @@ func (x *Ctx) TableE15FacilityScale() (*report.Table, error) {
 		jobs, err := facility.Generate(facility.WorkloadSpec{
 			Seed: x.Seed, Jobs: r.jobs, Tenants: r.tenants, Slots: r.hpcSlots,
 		})
-		if err != nil {
-			return nil, err
-		}
-		spot, err := facility.MarketSpot(x.Seed, 0.60, 24*28, 1<<28)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // The incremental scheduler's structures are touched once per job
@@ -141,8 +143,30 @@ func TestStreamDigestAllocFree(t *testing.T) {
 	}
 }
 
+// TestGenerateAllocBudget: the generator allocates its tables and the
+// job slice, and all tenant names in one string, so its allocations do
+// not grow with the tenants named. Formatting each name separately
+// costs about two allocations per tenant, ~24,000 more here.
+func TestGenerateAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are asserted on the uninstrumented build")
+	}
+	const budget = 16 // measured 8
+	spec := WorkloadSpec{Seed: 5, Jobs: 20000, Tenants: 100000, Slots: 1024}
+	got := testing.AllocsPerRun(2, func() {
+		if _, err := Generate(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Errorf("Generate at %d tenants: %.0f allocs, budget %d", spec.Tenants, got, budget)
+	}
+}
+
 // Budgeted runs: the event loop at four- and five-digit tenancy, each
-// job streamed through backfill, fairshare and a static broker.
+// job streamed through backfill, fairshare and a static broker; the
+// metered run also counts into a fresh obs registry, as the E15
+// artefact does.
 // TestRunAllocBudgets asserts their allocation budgets, and
 // BenchmarkRun measures them and gates their wall time. Allocations
 // track account chunks, slab chunks and the tenant-index map's growth,
@@ -164,22 +188,29 @@ const nsTolerance = 0.25
 var budgetedRuns = []struct {
 	name          string
 	jobs, tenants int
+	metered       bool
 	allocs        float64 // allocs per run
 	ns            float64 // ns per run
 }{
-	{"run-10k", 10000, 1000, 160, 15e6},     // measured 79 allocs (account and slab chunks, map growth), ~5.5ms
-	{"run-100k", 100000, 10000, 360, 170e6}, // measured 181 allocs, ~62ms
+	{"run-10k", 10000, 1000, false, 160, 15e6},            // measured 81 allocs (account and slab chunks, map growth, class table), ~5.5ms
+	{"run-100k", 100000, 10000, false, 360, 170e6},        // measured 183 allocs, ~62ms
+	{"run-100k-metrics", 100000, 10000, true, 420, 120e6}, // measured 207 allocs (a fresh registry's 9 metrics), ~57ms
 }
 
 // budgetedRun returns an op that runs a fresh facility over a seeded
-// jobs-job workload on 512 HPC slots and half as many in each cloud pool.
-func budgetedRun(tb testing.TB, jobs, tenants int) func() {
+// jobs-job workload on 512 HPC slots and half as many in each cloud
+// pool, metered into a fresh registry if metered is set.
+func budgetedRun(tb testing.TB, jobs, tenants int, metered bool) func() {
 	const slots = 512
 	wl, err := Generate(WorkloadSpec{Seed: 1, Jobs: jobs, Tenants: tenants, Slots: slots})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return func() {
+		var reg *obs.Registry
+		if metered {
+			reg = obs.NewRegistry()
+		}
 		f, err := New(Config{
 			Slots:     [NumPools]int{slots, slots / 2, slots / 2},
 			Backfill:  true,
@@ -191,7 +222,8 @@ func budgetedRun(tb testing.TB, jobs, tenants int) func() {
 				},
 				DefaultFactors: [NumPools]float64{1, 1.3, 2},
 			},
-			Prices: [NumPools]float64{0, 0.34, 0.68},
+			Prices:  [NumPools]float64{0, 0.34, 0.68},
+			Metrics: reg,
 		})
 		if err != nil {
 			tb.Fatal(err)
@@ -212,7 +244,7 @@ func TestRunAllocBudgets(t *testing.T) {
 	}
 	for _, r := range budgetedRuns {
 		t.Run(r.name, func(t *testing.T) {
-			if got := testing.AllocsPerRun(1, budgetedRun(t, r.jobs, r.tenants)); got > r.allocs {
+			if got := testing.AllocsPerRun(1, budgetedRun(t, r.jobs, r.tenants, r.metered)); got > r.allocs {
 				t.Errorf("%s allocated %.0f/run, budget %.0f", r.name, got, r.allocs)
 			}
 		})
@@ -227,7 +259,7 @@ func TestRunAllocBudgets(t *testing.T) {
 func BenchmarkRun(b *testing.B) {
 	for _, r := range budgetedRuns {
 		b.Run(r.name, func(b *testing.B) {
-			op := budgetedRun(b, r.jobs, r.tenants)
+			op := budgetedRun(b, r.jobs, r.tenants, r.metered)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

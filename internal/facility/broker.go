@@ -95,6 +95,49 @@ func (b *Broker) factors(class string) [NumPools]float64 {
 	return out
 }
 
+// classTable interns a facility's job classes: each distinct class is
+// resolved through Broker.factors once, on first sight, into a dense
+// table of factors. The first classScan classes are found by string
+// comparison, which a generated workload's shared class strings mostly
+// settle by pointer; any later ones go through a map, so the per-job
+// cost stays bounded however many classes a trace names (an SWF trace
+// names one per application).
+type classTable struct {
+	scan    []string // the first classScan classes, in first-sight order
+	index   map[string]int32
+	factors [][NumPools]float64
+}
+
+// classScan bounds the classes classTable finds by scanning.
+const classScan = 8
+
+// lookup returns class's resolved factors under broker b.
+func (t *classTable) lookup(b *Broker, class string) [NumPools]float64 {
+	for i, c := range t.scan {
+		if c == class {
+			return t.factors[i]
+		}
+	}
+	if i, ok := t.index[class]; ok {
+		return t.factors[i]
+	}
+	fs := b.factors(class)
+	if t.factors == nil {
+		t.scan = make([]string, 0, classScan)
+		t.factors = make([][NumPools]float64, 0, classScan)
+	}
+	if len(t.scan) < classScan {
+		t.scan = append(t.scan, class)
+	} else {
+		if t.index == nil {
+			t.index = make(map[string]int32)
+		}
+		t.index[class] = int32(len(t.factors))
+	}
+	t.factors = append(t.factors, fs)
+	return fs
+}
+
 // route scores each feasible pool as estimated-queue-wait + projected
 // runtime + CostWeight·dollars and returns the minimum; ties keep the
 // lowest pool id, so static HPC placement is the deterministic default.

@@ -204,7 +204,8 @@ type Config struct {
 	sched schedKind
 
 	// Metrics, when set, receives facility counters (submissions, starts,
-	// kills, backfills, interruptions) in the obs registry.
+	// kills, backfills, interruptions) and the queue-wait histogram in
+	// the obs registry, merged once when the run returns.
 	Metrics *obs.Registry
 	// Meter, when set, accumulates the simulated makespan.
 	Meter *sim.Meter
@@ -314,7 +315,8 @@ type jobRec struct {
 	// incremental sum exact per job.
 	qwork float64
 	// factors is the job's projected runtime multiplier on each pool,
-	// resolved from the broker once at arrival (all 1 without one).
+	// copied from the facility's class table at arrival (all 1 without
+	// a broker).
 	factors [NumPools]float64
 	// acct is the tenant's dense fairshare account, interned ahead of
 	// arrival (see internAhead); nil without fairshare. Both schedulers
@@ -353,31 +355,38 @@ type poolState struct {
 	wakeAt float64 // pending kindWake event time (0 = none)
 }
 
-// metrics bundles the facility's obs instruments.
-type metrics struct {
-	submitted, started, completed, killed *obs.Counter
-	backfilled, interruptions             *obs.Counter
-	waits                                 *obs.Histogram
+// tally is one run's facility metering, counted in plain fields as the
+// run goes and merged into the obs registry once, when RunStream
+// returns (flushMetrics). Integer adds commute, so the registry ends
+// exactly as if every event had been counted into it directly.
+type tally struct {
+	submitted, started, completed, killed int64
+	backfilled, interruptions             int64
+	waits                                 obs.Tally // per-job queue wait, ns
 	// Reservation refinements (EASY guarantees moving earlier as
 	// completions beat planning bounds) are registered volatile:
 	// diagnostics added after fac1 shipped must not perturb the stable
 	// snapshots embedded in committed artefact manifests.
-	resvRefined  *obs.Counter
-	resvRefineBy *obs.Histogram
+	resvRefined  int64
+	resvRefineBy obs.Tally
 }
 
-func newMetrics(reg *obs.Registry) metrics {
-	return metrics{
-		submitted:     reg.Counter("facility_jobs_submitted_total", "jobs submitted to the facility"),
-		started:       reg.Counter("facility_jobs_started_total", "jobs dispatched to a pool"),
-		completed:     reg.Counter("facility_jobs_completed_total", "jobs that ran to completion"),
-		killed:        reg.Counter("facility_jobs_killed_total", "jobs killed at their wall limit"),
-		backfilled:    reg.Counter("facility_jobs_backfilled_total", "jobs started out of queue order by EASY backfill"),
-		interruptions: reg.Counter("facility_spot_interruptions_total", "spot outages that rolled a job back"),
-		waits:         reg.Histogram("facility_queue_wait_seconds", "per-job queue wait (virtual seconds, as ns)"),
-		resvRefined:   reg.VolatileCounter("facility_reservations_refined_total", "EASY head reservations refreshed to an earlier guarantee"),
-		resvRefineBy:  reg.VolatileHistogram("facility_reservation_refinement_seconds", "improvement per reservation refresh (virtual seconds, as ns)"),
+// flushMetrics merges the run's tally into cfg.Metrics (a no-op without
+// a registry).
+func (f *Facility) flushMetrics() {
+	reg, t := f.cfg.Metrics, &f.tally
+	if reg == nil {
+		return
 	}
+	reg.Counter("facility_jobs_submitted_total", "jobs submitted to the facility").Add(t.submitted)
+	reg.Counter("facility_jobs_started_total", "jobs dispatched to a pool").Add(t.started)
+	reg.Counter("facility_jobs_completed_total", "jobs that ran to completion").Add(t.completed)
+	reg.Counter("facility_jobs_killed_total", "jobs killed at their wall limit").Add(t.killed)
+	reg.Counter("facility_jobs_backfilled_total", "jobs started out of queue order by EASY backfill").Add(t.backfilled)
+	reg.Counter("facility_spot_interruptions_total", "spot outages that rolled a job back").Add(t.interruptions)
+	reg.Histogram("facility_queue_wait_seconds", "per-job queue wait (virtual seconds, as ns)").Merge(&t.waits)
+	reg.VolatileCounter("facility_reservations_refined_total", "EASY head reservations refreshed to an earlier guarantee").Add(t.resvRefined)
+	reg.VolatileHistogram("facility_reservation_refinement_seconds", "improvement per reservation refresh (virtual seconds, as ns)").Merge(&t.resvRefineBy)
 }
 
 // Facility is one simulation instance. It is single-use: one Run or
@@ -386,10 +395,11 @@ func newMetrics(reg *obs.Registry) metrics {
 // independent (the race stress test runs many at once against a shared
 // read-only broker).
 type Facility struct {
-	cfg   Config
-	pools [NumPools]*poolState
-	share *shareTracker
-	met   metrics
+	cfg     Config
+	pools   [NumPools]*poolState
+	share   *shareTracker
+	classes classTable // brokered runs only: each class's factors, resolved once
+	tally   tally
 
 	// queue holds the in-flight events — completions and wakes, each
 	// carrying its record. Arrivals never enter it: they stream from
@@ -432,7 +442,6 @@ func New(cfg Config) (*Facility, error) {
 	for p := PoolHPC; p < NumPools; p++ {
 		f.pools[p] = &poolState{id: p, slots: cfg.Slots[p], free: cfg.Slots[p]}
 	}
-	f.met = newMetrics(cfg.Metrics)
 	return f, nil
 }
 
@@ -460,6 +469,7 @@ func (f *Facility) RunStream(jobs []Job, emit func(Outcome)) (StreamResult, erro
 		return StreamResult{}, fmt.Errorf("facility: Run called twice on one Facility; build a new one with New")
 	}
 	f.ran = true
+	defer f.flushMetrics()
 	for i, j := range jobs {
 		if err := f.validateJob(j); err != nil {
 			return StreamResult{}, fmt.Errorf("facility: job %d: %w", i, err)
@@ -468,7 +478,7 @@ func (f *Facility) RunStream(jobs []Job, emit func(Outcome)) (StreamResult, erro
 	f.jobs = jobs
 	f.arrivals = arrivalOrder(jobs)
 	f.emit = emit
-	f.met.submitted.Add(int64(len(jobs)))
+	f.tally.submitted = int64(len(jobs))
 
 	for {
 		e, ok := f.nextEvent()
@@ -592,7 +602,7 @@ func (f *Facility) alloc(i, pos int) *jobRec {
 		rec.job.Limit = rec.job.Runtime
 	}
 	if f.cfg.Broker != nil {
-		rec.factors = f.cfg.Broker.factors(rec.job.Class)
+		rec.factors = f.classes.lookup(f.cfg.Broker, rec.job.Class)
 	}
 	if f.cfg.Fairshare {
 		if pos-f.aheadAt >= len(f.ahead) {
@@ -685,11 +695,11 @@ func (f *Facility) complete(rec *jobRec) {
 		f.share.charge(rec.acct, f.clock, rec.charge*float64(rec.job.NP))
 	}
 	if rec.state == StateKilled {
-		f.met.killed.Inc()
+		f.tally.killed++
 	} else {
-		f.met.completed.Inc()
+		f.tally.completed++
 	}
-	f.met.waits.ObserveSeconds(rec.start - rec.job.Submit)
+	f.tally.waits.Observe(obs.Nanoseconds(rec.start - rec.job.Submit))
 	if f.emit != nil {
 		f.emit(Outcome{
 			Job: rec.job, Seq: rec.seq, Pool: rec.pool, State: rec.state,
@@ -713,7 +723,7 @@ func (f *Facility) start(p *poolState, rec *jobRec) {
 	if f.cfg.sched == schedSort {
 		p.running = append(p.running, rec)
 	}
-	f.met.started.Inc()
+	f.tally.started++
 
 	factor := rec.factors[p.id]
 	base := rec.job.Runtime * factor
@@ -730,7 +740,7 @@ func (f *Facility) start(p *poolState, rec *jobRec) {
 		rec.interruptions = sr.interruptions
 		rec.lost = sr.lost
 		rec.cost = float64(rec.job.NP) * sr.billed / 3600 * f.cfg.Spot.Price
-		f.met.interruptions.Add(int64(sr.interruptions))
+		f.tally.interruptions += int64(sr.interruptions)
 	default:
 		exec := base
 		state := StateCompleted
@@ -808,8 +818,8 @@ func (f *Facility) reserve(head *jobRec, resv float64) {
 		return
 	}
 	if resv < head.reserved {
-		f.met.resvRefined.Inc()
-		f.met.resvRefineBy.ObserveSeconds(head.reserved - resv)
+		f.tally.resvRefined++
+		f.tally.resvRefineBy.Observe(obs.Nanoseconds(head.reserved - resv))
 		head.reserved = resv
 	}
 }

@@ -1,6 +1,9 @@
 package facility
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -413,6 +416,73 @@ func TestMetricsCounters(t *testing.T) {
 	}
 }
 
+// TestMetricsMatchOutcomes runs every knob — backfill, fairshare, a
+// broker and a spot plan — and requires the registry's facility counters
+// and wait histogram, merged once when the run returns, to equal the
+// totals recomputed from the emitted outcomes. A second Run on the same
+// facility fails and must leave the registry exactly as it was.
+func TestMetricsMatchOutcomes(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := Config{
+		Slots: [NumPools]int{32, 8, 8}, Backfill: true, Fairshare: true,
+		Broker: staticTestBroker(), Spot: testSpot(), Prices: [NumPools]float64{0, 0.34, 0.68},
+		Metrics: reg,
+	}
+	jobs := genJobs(t, 11, 1000, 12, 32)
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var completed, killed, interruptions, waitSum int64
+	for _, o := range res.Outcomes {
+		if o.State == StateKilled {
+			killed++
+		} else {
+			completed++
+		}
+		interruptions += int64(o.Interruptions)
+		waitSum += obs.Nanoseconds(o.Wait)
+	}
+	n := int64(len(jobs))
+	for name, want := range map[string]int64{
+		"facility_jobs_submitted_total":     n,
+		"facility_jobs_started_total":       n,
+		"facility_jobs_completed_total":     completed,
+		"facility_jobs_killed_total":        killed,
+		"facility_spot_interruptions_total": interruptions,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	waits := reg.Histogram("facility_queue_wait_seconds", "")
+	if waits.Count() != n || waits.Sum() != waitSum {
+		t.Errorf("facility_queue_wait_seconds: count %d sum %d, want %d and %d", waits.Count(), waits.Sum(), n, waitSum)
+	}
+	if interruptions == 0 || killed == 0 {
+		t.Errorf("workload exercises too little: %d interruptions, %d kills", interruptions, killed)
+	}
+	if got := reg.Counter("facility_jobs_backfilled_total", "").Value(); got == 0 {
+		t.Errorf("no backfills counted")
+	}
+	refined := reg.VolatileCounter("facility_reservations_refined_total", "").Value()
+	if by := reg.VolatileHistogram("facility_reservation_refinement_seconds", ""); by.Count() != refined {
+		t.Errorf("%d reservation refinements counted, %d improvements observed", refined, by.Count())
+	}
+
+	before := reg.Snapshot(true)
+	if _, err := f.Run(jobs); err == nil {
+		t.Fatal("second Run on one facility succeeded")
+	}
+	if after := reg.Snapshot(true); !reflect.DeepEqual(after, before) {
+		t.Errorf("failed second Run changed the registry:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
 func TestGenerateDeterministicAndValid(t *testing.T) {
 	spec := WorkloadSpec{Seed: 7, Jobs: 500, Tenants: 40, Slots: 128}
 	a, err := Generate(spec)
@@ -452,6 +522,12 @@ func TestGenerateDeterministicAndValid(t *testing.T) {
 	}
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds generated identical workloads")
+	}
+
+	// An explicit class list must name a class; an empty one is an
+	// error, not a panic at the first draw.
+	if _, err := Generate(WorkloadSpec{Seed: 1, Jobs: 10, Tenants: 2, Slots: 8, Classes: []string{}}); err == nil {
+		t.Fatal("empty explicit class list accepted")
 	}
 }
 
@@ -566,6 +642,34 @@ func TestDigestSensitivity(t *testing.T) {
 	}
 	if len(a) != 64 || strings.Trim(a, "0123456789abcdef") != "" {
 		t.Fatalf("digest %q not sha256 hex", a)
+	}
+}
+
+// TestStreamDigestMatchesReference: StreamDigest hashes its records in
+// blocks, so its sum must equal a plain sha256 over every record and the
+// clock/events trailer, written one at a time — at no outcomes, one, and
+// either side of each block boundary.
+func TestStreamDigestMatchesReference(t *testing.T) {
+	base := Outcome{
+		Job:  Job{Tenant: "t0042", Class: "metum", NP: 64, Runtime: 1800, Limit: 2400, Submit: 12.5},
+		Pool: PoolEC2, State: StateCompleted, Start: 20, End: 1900, Interruptions: 1, Cost: 3.5,
+	}
+	recLen := len(appendOutcome(nil, base))
+	threshold := (digestBlock + recLen - 1) / recLen // outcomes that fill one block
+	const clock, events = 1234.5, 99
+	for _, n := range []int{0, 1, threshold - 1, threshold, threshold + 1, 3 * threshold} {
+		d, ref := NewStreamDigest(), sha256.New()
+		for i := 0; i < n; i++ {
+			o := base
+			o.Seq, o.End = i, base.End+float64(i)
+			d.Observe(o)
+			ref.Write(appendOutcome(nil, o))
+		}
+		trailer := binary.BigEndian.AppendUint64(nil, math.Float64bits(clock))
+		ref.Write(binary.BigEndian.AppendUint64(trailer, events))
+		if got, want := d.Sum(clock, events), fmt.Sprintf("%x", ref.Sum(nil)); got != want {
+			t.Errorf("%d outcomes (block of %d): StreamDigest %s, reference %s", n, threshold, got, want)
+		}
 	}
 }
 

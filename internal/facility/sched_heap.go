@@ -150,7 +150,7 @@ func (f *Facility) backfillHeap(p *poolState, head heapEntry) {
 				spare -= rec.job.NP
 			}
 			f.start(p, rec)
-			f.met.backfilled.Inc()
+			f.tally.backfilled++
 			continue
 		}
 		kept = append(kept, e)

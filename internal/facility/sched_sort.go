@@ -81,7 +81,7 @@ func (f *Facility) backfillSort(p *poolState) {
 				spare -= rec.job.NP
 			}
 			f.start(p, rec)
-			f.met.backfilled.Inc()
+			f.tally.backfilled++
 			continue
 		}
 		kept = append(kept, rec)

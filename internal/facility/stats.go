@@ -103,7 +103,7 @@ func Digest(res *Result) string {
 }
 
 // appendOutcome appends one outcome's exact bit pattern to b — the
-// record Digest and the streaming StreamDigest hash, one Write each.
+// record Digest hashes one Write at a time and StreamDigest in blocks.
 func appendOutcome(b []byte, o Outcome) []byte {
 	be := binary.BigEndian
 	b = append(b, o.Tenant...)

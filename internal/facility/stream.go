@@ -136,27 +136,40 @@ func (s *StreamSummary) Summary() Summary {
 // (completion) order — the streaming counterpart of Digest, which
 // hashes in submission order, so the two digest domains are distinct
 // but each is bit-stable: identical streams produce identical digests.
+// Records collect in a block buffer that is hashed whenever it fills
+// and at Sum, so the hash takes a few large writes rather than one per
+// outcome; the digest is the sha256 of the records' concatenation
+// either way.
 type StreamDigest struct {
 	h   hash.Hash
-	buf []byte // one outcome's record, reused across Observe calls
+	buf []byte // records not yet hashed
 }
+
+// digestBlock is the buffered byte count at which Observe hashes. The
+// buffer is allocated with room for one more ~100-byte record beyond
+// it, so it never grows for records of ordinary length.
+const digestBlock = 8 << 10
 
 // NewStreamDigest returns an empty streaming digest.
 func NewStreamDigest() *StreamDigest {
-	return &StreamDigest{h: sha256.New()}
+	return &StreamDigest{h: sha256.New(), buf: make([]byte, 0, digestBlock+256)}
 }
 
-// Observe hashes one outcome's exact bit pattern. Once the record
-// buffer has grown to the longest outcome it allocates nothing.
+// Observe adds one outcome's exact bit pattern. It allocates nothing
+// unless a record's tenant and class names outgrow the buffer's slack.
 func (d *StreamDigest) Observe(o Outcome) {
-	d.buf = appendOutcome(d.buf[:0], o)
-	d.h.Write(d.buf)
+	d.buf = appendOutcome(d.buf, o)
+	if len(d.buf) >= digestBlock {
+		d.h.Write(d.buf)
+		d.buf = d.buf[:0]
+	}
 }
 
 // Sum seals the digest with the run's clock and event count.
 func (d *StreamDigest) Sum(clock float64, events int) string {
-	d.buf = binary.BigEndian.AppendUint64(d.buf[:0], math.Float64bits(clock))
+	d.buf = binary.BigEndian.AppendUint64(d.buf, math.Float64bits(clock))
 	d.buf = binary.BigEndian.AppendUint64(d.buf, uint64(events))
 	d.h.Write(d.buf)
+	d.buf = d.buf[:0]
 	return fmt.Sprintf("%x", d.h.Sum(nil))
 }

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -47,6 +46,9 @@ func (s WorkloadSpec) Validate() error {
 	}
 	if s.MaxNP < 0 || s.MaxNP > s.Slots {
 		return fmt.Errorf("facility: MaxNP %d outside [0, %d]", s.MaxNP, s.Slots)
+	}
+	if s.Classes != nil && len(s.Classes) == 0 {
+		return fmt.Errorf("facility: explicit workload class list is empty")
 	}
 	for _, c := range s.Classes {
 		if c == "" {
@@ -201,16 +203,15 @@ func Generate(spec WorkloadSpec) ([]Job, error) {
 		classTotal += w
 		classCum[i] = classTotal
 	}
+	classG := newCumGuide(classCum)
 
-	// Tenant names are formatted on a tenant's first job and shared by
-	// the rest of its jobs.
-	names := make([]string, spec.Tenants)
+	names := newTenantNames(spec.Tenants)
 	jobs := make([]Job, spec.Jobs)
 	var demand, at float64
 	for i := range jobs {
 		at += arrR.Exponential(1)
 		tenant := tenants.search(tenantR.Float64() * total)
-		ci := sort.SearchFloat64s(classCum, classR.Float64()*classTotal)
+		ci := classG.search(classR.Float64() * classTotal)
 		class, sh := classes[ci], shapes[ci]
 
 		np := sh.npMin << sizeR.Intn(sh.npExp+1)
@@ -231,11 +232,8 @@ func Generate(spec WorkloadSpec) ([]Job, error) {
 			lim = rt * (0.5 + 0.45*limitR.Float64())
 		}
 
-		if names[tenant] == "" {
-			names[tenant] = fmt.Sprintf("t%04d", tenant)
-		}
 		jobs[i] = Job{
-			Tenant:  names[tenant],
+			Tenant:  names.name(tenant),
 			Class:   class,
 			NP:      np,
 			Runtime: rt,
@@ -260,6 +258,52 @@ func Generate(spec WorkloadSpec) ([]Job, error) {
 		jobs[i].Submit *= scale
 	}
 	return jobs, nil
+}
+
+// tenantNames holds the names of tenants 0, 1, ..., n-1 — "t%04d" of
+// the index — back to back in one string, so every job's Tenant is a
+// substring sharing that backing memory: one allocation for all the
+// names, with no per-tenant string headers or offsets, because a name's
+// place follows from its index.
+type tenantNames string
+
+// tenantPadded is the first tenant index whose name needs no zero
+// padding: "t0000".."t9999", then "t10000".
+const tenantPadded = 10000
+
+func newTenantNames(n int) tenantNames {
+	total, _ := tenantNameSpan(n)
+	var b strings.Builder
+	b.Grow(total)
+	var digits [20]byte
+	for i := 0; i < n; i++ {
+		d := strconv.AppendUint(digits[:0], uint64(i), 10)
+		b.WriteByte('t')
+		for k := len(d); k < 4; k++ {
+			b.WriteByte('0')
+		}
+		b.Write(d)
+	}
+	return tenantNames(b.String())
+}
+
+// tenantNameSpan returns where tenant i's name starts (the summed
+// lengths of the names of tenants 0..i-1) and its length: 5 bytes
+// below tenantPadded, one more for each later decade.
+func tenantNameSpan(i int) (off, width int) {
+	lo, hi := 0, tenantPadded
+	width = 5
+	for i >= hi {
+		off += (hi - lo) * width
+		lo, hi, width = hi, 10*hi, width+1
+	}
+	return off + (i-lo)*width, width
+}
+
+// name returns tenant i's name.
+func (t tenantNames) name(i int) string {
+	off, width := tenantNameSpan(i)
+	return string(t[off : off+width])
 }
 
 // FormatTrace renders jobs in the facility trace format: one job per

@@ -14,6 +14,16 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{255, 0, 255, 0, 7, 7, 7})
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 9})
+	// A deep queue: 96 pushes, then two pops per push, so the seeded
+	// corpus sifts through six heap levels in both directions.
+	var deep []byte
+	for i := 0; i < 96; i++ {
+		deep = append(deep, 1, byte(i*37))
+	}
+	for i := 0; i < 48; i++ {
+		deep = append(deep, 0, 0, 0, 0, 2, byte(i*11))
+	}
+	f.Add(deep)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var q Queue[string]
 		var seq uint64

@@ -25,18 +25,27 @@ type Event[T any] struct {
 // Less is the queue's strict total order: virtual time, then rank, then
 // creation stamp. Two distinct events never compare equal because Seq is
 // unique per queue.
-func (e Event[T]) Less(o Event[T]) bool {
-	if e.Time != o.Time {
-		return e.Time < o.Time
+func (e Event[T]) Less(o Event[T]) bool { return less(&e, &o) }
+
+// less is Less on events compared in place, so the heap's sifts do not
+// copy them.
+func less[T any](a, b *Event[T]) bool {
+	if a.Time != b.Time {
+		return a.Time < b.Time
 	}
-	if e.Rank != o.Rank {
-		return e.Rank < o.Rank
+	if a.Rank != b.Rank {
+		return a.Rank < b.Rank
 	}
-	return e.Seq < o.Seq
+	return a.Seq < b.Seq
 }
 
 // Queue is a binary min-heap of events under Event.Less. The zero value
 // is an empty queue ready for use. It is not synchronised.
+//
+// Both sifts move a hole rather than swapping: the displaced event is
+// held aside, the events it passes shift one level into the hole, and it
+// is written once where the sift stops. Because the order is total, the
+// pop sequence is the same as any other correct heap's.
 type Queue[T any] struct {
 	h []Event[T]
 }
@@ -47,26 +56,49 @@ func (q *Queue[T]) Len() int { return len(q.h) }
 // Push inserts an event.
 func (q *Queue[T]) Push(e Event[T]) {
 	q.h = append(q.h, e)
-	i := len(q.h) - 1
+	h := q.h
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.h[i].Less(q.h[parent]) {
+		if !less(&e, &h[parent]) {
 			break
 		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = e
 }
 
 // Pop removes and returns the minimum event. It panics on an empty queue
 // (a caller invariant violation, not a recoverable condition).
 func (q *Queue[T]) Pop() Event[T] {
-	min := q.h[0]
-	last := len(q.h) - 1
-	q.h[0] = q.h[last]
-	q.h[last] = Event[T]{} // release the payload reference
-	q.h = q.h[:last]
-	q.siftDown(0)
+	h := q.h
+	min := h[0]
+	last := len(h) - 1
+	x := h[last]
+	h[last] = Event[T]{} // release the payload reference
+	h = h[:last]
+	q.h = h
+	if last == 0 {
+		return min
+	}
+	// Sift the hole at the root down to where x belongs.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if r := c + 1; r < last && less(&h[r], &h[c]) {
+			c = r
+		}
+		if !less(&h[c], &x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 	return min
 }
 
@@ -77,23 +109,4 @@ func (q *Queue[T]) Min() (min Event[T], ok bool) {
 		return Event[T]{}, false
 	}
 	return q.h[0], true
-}
-
-func (q *Queue[T]) siftDown(i int) {
-	n := len(q.h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.h[l].Less(q.h[smallest]) {
-			smallest = l
-		}
-		if r < n && q.h[r].Less(q.h[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		q.h[i], q.h[smallest] = q.h[smallest], q.h[i]
-		i = smallest
-	}
 }
