@@ -70,24 +70,34 @@ bench:
 	$(GO) test -p 1 -run '^$$' -bench . -benchmem ./internal/mpi ./internal/osu ./internal/facility
 
 # Batch-facility gate: a small seeded facility run (broker + spot, all
-# scheduler features on) executed twice; the runs must print byte-identical
-# reports — the digest line pins every outcome — and the manifest must
-# validate. Covers the cmd/facility flag plumbing the package tests
-# cannot see.
+# scheduler features on) executed twice in memory and once streamed
+# (-stream: the generated workload built a window of jobs at a time,
+# outcomes folded as they complete). The two in-memory runs must print
+# byte-identical reports — the digest line pins every outcome — and the
+# streamed run's report must equal them on every line but the digest,
+# which hashes outcomes in completion order instead of submission order.
+# The manifest must validate. Covers the cmd/facility flag plumbing the
+# package tests cannot see.
 facility-smoke: build
 	@rm -rf .facility-smoke && mkdir -p .facility-smoke
 	@a=$$($(GO) run ./cmd/facility -jobs 400 -tenants 40 -slots 64 -broker -spot \
 		-manifest .facility-smoke/a.manifest.json); \
 	b=$$($(GO) run ./cmd/facility -jobs 400 -tenants 40 -slots 64 -broker -spot \
 		-manifest .facility-smoke/b.manifest.json); \
+	s=$$($(GO) run ./cmd/facility -jobs 400 -tenants 40 -slots 64 -broker -spot -stream); \
 	if [ "$$a" != "$$b" ]; then \
 		echo "facility-smoke: two identical runs produced different reports:"; \
 		echo "--- run a ---"; echo "$$a"; \
 		echo "--- run b ---"; echo "$$b"; exit 1; \
+	fi; \
+	if [ "$$(echo "$$a" | grep -v ' digest ')" != "$$(echo "$$s" | grep -v ' digest ')" ]; then \
+		echo "facility-smoke: the streamed run's report differs from the in-memory run's:"; \
+		echo "--- in memory ---"; echo "$$a"; \
+		echo "--- streamed ---"; echo "$$s"; exit 1; \
 	fi
 	$(GO) run ./cmd/inspect manifest .facility-smoke/a.manifest.json >/dev/null
 	@rm -rf .facility-smoke
-	@echo "facility-smoke: run report deterministic and manifest valid"
+	@echo "facility-smoke: run report deterministic, streamed run agrees, manifest valid"
 
 # The full local gate: static analysis (format, vet, reprolint), build,
 # tests (with the allocation and lint-latency budgets), race tests, a

@@ -47,6 +47,13 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 		{"npb", []string{"-bench", "ft", "-class", "S", "-np", "128"}, "ft: np=128 must divide ny=64 and nz=64"},
 		{"facility", []string{"-jobs", "0"}, "facility: workload needs positive Jobs (0)"},
 		{"repro", []string{"-cpuprofile", filepath.Join(dir, "missing", "cpu.prof")}, "repro: -cpuprofile: open "},
+		// -faults values that once ran fault.Generate out of memory, or
+		// passed as NaN; rejected before anything is simulated.
+		{"repro", []string{"-only", "fig6", "-sweep", "smoke", "-nocache", "-faults", "horizon=+Inf,mtbf=600"}, "repro: fault: horizon must be finite, got +Inf"},
+		{"repro", []string{"-only", "fig6", "-sweep", "smoke", "-nocache", "-faults", "mtbf=1e-6"}, "repro: fault: mtbf=1e-06 expects 3.6e+09 preemptions"},
+		{"repro", []string{"-only", "fig6", "-sweep", "smoke", "-nocache", "-faults", "degrade=1e12"}, "repro: fault: degrade=1e+12 expects 1e+12 link-degradation windows"},
+		{"repro", []string{"-only", "fig6", "-sweep", "smoke", "-nocache", "-faults", "dlat=NaN,degrade=12"}, "repro: fault: dlat must be finite, got NaN"},
+		{"repro", []string{"-only", "fig6", "-sweep", "smoke", "-nocache", "-faults", "mtbf=NaN"}, "repro: fault: mtbf must be finite, got NaN"},
 	}
 	for _, tc := range cases {
 		out, err := exec.Command(filepath.Join(dir, tc.bin), tc.args...).CombinedOutput()

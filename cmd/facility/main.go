@@ -14,8 +14,10 @@
 // -swf replays a Standard Workload Format archive trace; records wider
 // than the HPC partition are skipped (and counted). -stream switches to
 // the streaming run path — per-job outcomes are folded into reservoir
-// statistics as they complete instead of being collected, which is how
-// million-job traces fit in bounded memory.
+// statistics as they complete instead of being collected, and a
+// generated workload is built a window of jobs at a time instead of
+// being materialised, which is how million-job runs fit in bounded
+// memory.
 package main
 
 import (
@@ -48,6 +50,9 @@ func main() {
 	flag.Parse()
 	start := time.Now()
 
+	// src is what a run consumes: the loaded or generated jobs, or with
+	// -stream (and no trace to write) the generated workload itself.
+	var src facility.JobSource
 	var wl []facility.Job
 	var err error
 	switch {
@@ -76,6 +81,10 @@ func main() {
 			fatal(rerr)
 		}
 		wl, err = facility.ParseTrace(data)
+	case *stream && *emit == "":
+		src, err = facility.NewWorkload(facility.WorkloadSpec{
+			Seed: *seed, Jobs: *jobs, Tenants: *tenants, Slots: *slots,
+		})
 	default:
 		wl, err = facility.Generate(facility.WorkloadSpec{
 			Seed: *seed, Jobs: *jobs, Tenants: *tenants, Slots: *slots,
@@ -83,6 +92,9 @@ func main() {
 	}
 	if err != nil {
 		fatal(err)
+	}
+	if src == nil {
+		src = facility.Jobs(wl)
 	}
 	if *emit != "" {
 		if err := os.WriteFile(*emit, facility.FormatTrace(wl), 0o644); err != nil {
@@ -130,7 +142,7 @@ func main() {
 	if *stream {
 		ss := facility.NewStreamSummary(0, *seed)
 		sd := facility.NewStreamDigest()
-		sr, err := f.RunStream(wl, func(o facility.Outcome) {
+		sr, err := f.RunStream(src, func(o facility.Outcome) {
 			ss.Observe(o)
 			sd.Observe(o)
 		})
@@ -169,7 +181,7 @@ func main() {
 		Schema: obs.ManifestSchema, Binary: "facility",
 		ModelVersion: core.ModelVersion, Seed: *seed,
 		Knobs: map[string]string{
-			"jobs":   strconv.Itoa(len(wl)),
+			"jobs":   strconv.Itoa(src.Len()),
 			"slots":  strconv.Itoa(*slots),
 			"broker": strconv.FormatBool(cfg.Broker != nil),
 			"spot":   strconv.FormatBool(cfg.Spot != nil),

@@ -11,11 +11,13 @@ import (
 // E15): the fully-featured facility — EASY backfill, decayed-usage
 // fairshare, calibrated ARRIVE-F broker, checkpointed spot market —
 // driven up a workload ladder that ends at a million jobs from a
-// hundred thousand tenants. Each rung runs through RunStream with
-// reservoir statistics, so memory stays bounded by the in-flight job
-// set and the rung's cost is dominated by the event loop the
-// incremental scheduler keeps near O(log n) per event. The per-rung
-// stream digest pins the entire outcome stream bit-for-bit.
+// hundred thousand tenants. Each rung's workload is generated into
+// pointer-free columns (about 25 bytes a job) and streamed through
+// RunStream, which builds jobs a 1024-arrival window at a time and folds
+// outcomes into reservoir statistics: beyond those columns, memory
+// follows the in-flight job set, and the rung's cost is dominated by the
+// event loop the incremental scheduler keeps near O(log n) per event.
+// The per-rung stream digest pins the entire outcome stream bit for bit.
 
 // fac2Rung is one scale-ladder rung of the E15 streaming study.
 type fac2Rung struct {
@@ -63,7 +65,7 @@ func (x *Ctx) TableE15FacilityScale() (*report.Table, error) {
 			"cloud%", "cost($)", "digest"},
 	}
 	for _, r := range x.fac2Ladder() {
-		jobs, err := facility.Generate(facility.WorkloadSpec{
+		wl, err := facility.NewWorkload(facility.WorkloadSpec{
 			Seed: x.Seed, Jobs: r.jobs, Tenants: r.tenants, Slots: r.hpcSlots,
 		})
 		if err != nil {
@@ -85,7 +87,7 @@ func (x *Ctx) TableE15FacilityScale() (*report.Table, error) {
 		}
 		ss := facility.NewStreamSummary(0, x.Seed)
 		sd := facility.NewStreamDigest()
-		sr, err := f.RunStream(jobs, func(o facility.Outcome) {
+		sr, err := f.RunStream(wl, func(o facility.Outcome) {
 			ss.Observe(o)
 			sd.Observe(o)
 		})

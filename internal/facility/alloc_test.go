@@ -90,7 +90,7 @@ func TestRunStreamAllocsFlatInJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.RunStream(jobs, func(Outcome) {}); err != nil {
+		if _, err := f.RunStream(Jobs(jobs), func(Outcome) {}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,15 +143,15 @@ func TestStreamDigestAllocFree(t *testing.T) {
 	}
 }
 
-// TestGenerateAllocBudget: the generator allocates its tables and the
-// job slice, and all tenant names in one string, so its allocations do
-// not grow with the tenants named. Formatting each name separately
-// costs about two allocations per tenant, ~24,000 more here.
+// TestGenerateAllocBudget: the generator allocates its tables, its
+// columns and the job slice, and all tenant names in one string, so its
+// allocations do not grow with the tenants named. Formatting each name
+// separately costs about two allocations per tenant, ~24,000 more here.
 func TestGenerateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are asserted on the uninstrumented build")
 	}
-	const budget = 16 // measured 8
+	const budget = 16 // measured 12-14
 	spec := WorkloadSpec{Seed: 5, Jobs: 20000, Tenants: 100000, Slots: 1024}
 	got := testing.AllocsPerRun(2, func() {
 		if _, err := Generate(spec); err != nil {
@@ -168,12 +168,12 @@ func TestGenerateAllocBudget(t *testing.T) {
 // metered run also counts into a fresh obs registry, as the E15
 // artefact does.
 // TestRunAllocBudgets asserts their allocation budgets, and
-// BenchmarkRun measures them and gates their wall time. Allocations
-// track account chunks, slab chunks and the tenant-index map's growth,
-// not tenants, jobs or events: fairshare accounts live 256 to a chunk,
-// job records recycle through a freelist, the pending heap, release
-// profile and event queue reuse their arrays, and arrivals stream from
-// the job slice. The budgets sit at ~2x the measured counts, so a
+// BenchmarkRun measures them and gates their wall time. Each streams a
+// generated workload, whose tenant indices name accounts directly, so
+// allocations track account chunks and slab chunks, not tenants, jobs
+// or events: fairshare accounts live 256 to a chunk, job records
+// recycle through a freelist, the pending heap, release profile and
+// event queue reuse their arrays, and arrivals fill one window. The budgets sit at ~2x the measured counts, so a
 // return to one heap object per tenant account (1000 and 10000 more
 // allocations), per-pass sorting copies or per-job allocation fails
 // them.
@@ -192,9 +192,9 @@ var budgetedRuns = []struct {
 	allocs        float64 // allocs per run
 	ns            float64 // ns per run
 }{
-	{"run-10k", 10000, 1000, false, 160, 15e6},            // measured 81 allocs (account and slab chunks, map growth, class table), ~5.5ms
-	{"run-100k", 100000, 10000, false, 360, 170e6},        // measured 183 allocs, ~62ms
-	{"run-100k-metrics", 100000, 10000, true, 420, 120e6}, // measured 207 allocs (a fresh registry's 9 metrics), ~57ms
+	{"run-10k", 10000, 1000, false, 160, 15e6},            // measured 62 allocs (account and slab chunks, class table, arrival window), ~5.5ms
+	{"run-100k", 100000, 10000, false, 360, 170e6},        // measured 107 allocs, ~62ms
+	{"run-100k-metrics", 100000, 10000, true, 420, 120e6}, // measured 131 allocs (a fresh registry's 9 metrics), ~57ms
 }
 
 // budgetedRun returns an op that runs a fresh facility over a seeded
@@ -202,7 +202,7 @@ var budgetedRuns = []struct {
 // pool, metered into a fresh registry if metered is set.
 func budgetedRun(tb testing.TB, jobs, tenants int, metered bool) func() {
 	const slots = 512
-	wl, err := Generate(WorkloadSpec{Seed: 1, Jobs: jobs, Tenants: tenants, Slots: slots})
+	wl, err := NewWorkload(WorkloadSpec{Seed: 1, Jobs: jobs, Tenants: tenants, Slots: slots})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -232,8 +232,8 @@ func budgetedRun(tb testing.TB, jobs, tenants int, metered bool) func() {
 		if _, err := f.RunStream(wl, func(Outcome) { done++ }); err != nil {
 			tb.Fatal(err)
 		}
-		if done != len(wl) {
-			tb.Fatalf("run emitted %d of %d outcomes", done, len(wl))
+		if done != wl.Len() {
+			tb.Fatalf("run emitted %d of %d outcomes", done, wl.Len())
 		}
 	}
 }

@@ -13,9 +13,9 @@
 // against a small-N strict-FCFS list scheduler (the oracle in
 // oracle_test.go) by the cross-validation tests. Completions and spot
 // wakes sit on an in-flight-sized heap (pdes.Queue), each carrying its
-// job record; arrivals stream from the job slice in (submit, index)
-// order and are merged with the heap minimum, so the event loop's
-// memory follows the in-flight set, not the workload length.
+// job record; arrivals stream from a JobSource in (submit, index) order,
+// a window at a time, and are merged with the heap minimum, so the event
+// loop's memory follows the in-flight set, not the workload length.
 //
 // The scheduler keeps incremental structures — a lazily re-keyed
 // pending heap, a maintained release profile for EASY reservations, and
@@ -26,10 +26,8 @@
 package facility
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -318,10 +316,10 @@ type jobRec struct {
 	// copied from the facility's class table at arrival (all 1 without
 	// a broker).
 	factors [NumPools]float64
-	// acct is the tenant's dense fairshare account, interned ahead of
-	// arrival (see internAhead); nil without fairshare. Both schedulers
-	// and the charge on completion read it, so no tenant name is
-	// hashed past arrival.
+	// acct is the tenant's dense fairshare account, resolved by the
+	// source's tenant index as the arrival's window filled; nil without
+	// fairshare. Both schedulers and the charge on completion read it,
+	// so no tenant name is hashed past arrival.
 	acct *tenantUsage
 
 	reserved      float64
@@ -403,30 +401,26 @@ type Facility struct {
 
 	// queue holds the in-flight events — completions and wakes, each
 	// carrying its record. Arrivals never enter it: they stream from
-	// jobs in (Submit, index) order and are merged with the queue
+	// the source in (Submit, index) order and are merged with the queue
 	// minimum under the same Event.Less order (nextEvent).
 	queue pdes.Queue[*jobRec]
-	// jobs is the run's input; an arrival event's Seq is its job index.
-	// arrivals is nil when jobs is already submit-ordered (the cursor
-	// walks the slice in place), else the stable index sort by Submit;
-	// next is the cursor. pushed counts queued events, whose Seqs
-	// continue past the arrival block at len(jobs).
-	jobs     []Job
-	arrivals []int
-	next     int
-	pushed   uint64
-	ran      bool // set by the first Run/RunStream: a Facility is single-use
-	clock    float64
-	events   int
+	// fill loads the source's next arrivals into win, at most
+	// arrivalWindow at a time; next is the cursor into win and loaded
+	// counts the arrivals filled so far. An arrival event's Seq is its
+	// job index, below n, the source's length; pushed counts queued
+	// events, whose Seqs continue past the arrival block at n.
+	fill   func([]arrival)
+	n      int
+	loaded int
+	win    []arrival
+	next   int
+	pushed uint64
+	ran    bool // set by the first Run/RunStream: a Facility is single-use
+	clock  float64
+	events int
 
 	emit     func(Outcome)
 	finished int
-
-	// ahead holds the dense account indices of the tenants of the
-	// arrivals at cursor positions aheadAt, aheadAt+1, ...: up to
-	// internWindow of them, interned in arrival order.
-	ahead   []int32
-	aheadAt int
 
 	chunk   []jobRec    // slab the next fresh records come from
 	freed   []*jobRec   // recycled records
@@ -445,12 +439,12 @@ func New(cfg Config) (*Facility, error) {
 	return f, nil
 }
 
-// Run simulates the whole workload and returns every job's outcome.
-// Jobs are identified by their slice index; equal submit times keep
-// slice order (the oracle's stable-sort convention).
+// Run simulates the whole workload and returns every job's outcome, or
+// nil and the error of a failed run. Jobs are identified by their slice
+// index; equal submit times keep slice order (see Jobs).
 func (f *Facility) Run(jobs []Job) (*Result, error) {
 	res := &Result{Outcomes: make([]Outcome, len(jobs))}
-	sr, err := f.RunStream(jobs, func(o Outcome) { res.Outcomes[o.Seq] = o })
+	sr, err := f.RunStream(Jobs(jobs), func(o Outcome) { res.Outcomes[o.Seq] = o })
 	if err != nil {
 		return nil, err
 	}
@@ -459,28 +453,33 @@ func (f *Facility) Run(jobs []Job) (*Result, error) {
 }
 
 // RunStream simulates the whole workload, calling emit exactly once per
-// job — in completion order — instead of materialising a Result. Job
-// records are recycled after emission and arrivals are read straight
-// from jobs, so memory beyond the input is bounded by the in-flight set:
-// the mode the 10^6-job E15 artefact runs in. Run is RunStream
-// collecting into a slice; the two are outcome-for-outcome identical.
-func (f *Facility) RunStream(jobs []Job, emit func(Outcome)) (StreamResult, error) {
+// job — in completion order — instead of materialising a Result. Jobs
+// arrive from src a window of arrivalWindow at a time, and job records
+// are recycled after emission, so memory beyond the source is bounded
+// by the in-flight set: the mode the 10^6-job E15 artefact runs in. Run
+// is RunStream over Jobs collecting into a slice; the two are
+// outcome-for-outcome identical.
+//
+// Each window's jobs are validated as it fills, and the first invalid
+// job fails the run with an error naming its index. Outcomes emitted
+// before that stand, and the facility's metrics count them.
+func (f *Facility) RunStream(src JobSource, emit func(Outcome)) (StreamResult, error) {
 	if f.ran {
 		return StreamResult{}, fmt.Errorf("facility: Run called twice on one Facility; build a new one with New")
 	}
 	f.ran = true
 	defer f.flushMetrics()
-	for i, j := range jobs {
-		if err := f.validateJob(j); err != nil {
-			return StreamResult{}, fmt.Errorf("facility: job %d: %w", i, err)
-		}
-	}
-	f.jobs = jobs
-	f.arrivals = arrivalOrder(jobs)
+	f.n = src.Len()
+	f.fill = src.open(f.cfg.Fairshare)
+	f.win = make([]arrival, 0, min(f.n, arrivalWindow))
 	f.emit = emit
-	f.tally.submitted = int64(len(jobs))
 
 	for {
+		if f.next == len(f.win) && f.loaded < f.n {
+			if err := f.refill(); err != nil {
+				return StreamResult{}, err
+			}
+		}
 		e, ok := f.nextEvent()
 		if !ok {
 			break
@@ -492,7 +491,7 @@ func (f *Facility) RunStream(jobs []Job, emit func(Outcome)) (StreamResult, erro
 		f.events++
 		switch e.Rank {
 		case kindArrive:
-			rec := f.alloc(int(e.Seq), f.next-1)
+			rec := f.alloc(&f.win[f.next-1])
 			pool := f.route(rec)
 			rec.pool = pool
 			f.enqueue(f.pools[pool], rec)
@@ -505,44 +504,49 @@ func (f *Facility) RunStream(jobs []Job, emit func(Outcome)) (StreamResult, erro
 			f.schedule(f.pools[PoolEC2])
 		}
 	}
-	if f.finished != len(jobs) {
-		return StreamResult{}, fmt.Errorf("facility: %d of %d jobs never finished", len(jobs)-f.finished, len(jobs))
+	if f.finished != f.n {
+		return StreamResult{}, fmt.Errorf("facility: %d of %d jobs never finished", f.n-f.finished, f.n)
 	}
 	f.cfg.Meter.Add(f.clock)
-	return StreamResult{Jobs: len(jobs), Clock: f.clock, Events: f.events}, nil
+	return StreamResult{Jobs: f.n, Clock: f.clock, Events: f.events}, nil
 }
 
-// arrivalOrder returns nil when jobs is already non-decreasing in Submit
-// (every generated workload), else the job indices stably sorted by
-// Submit: the (Submit, index) order arrivals are processed in. Submits
-// are validated finite first, so the sort never sees a NaN.
-func arrivalOrder(jobs []Job) []int {
-	sorted := true
-	for i := 1; i < len(jobs) && sorted; i++ {
-		sorted = jobs[i].Submit >= jobs[i-1].Submit
+// arrivalWindow is the number of arrivals a refill loads: the run's
+// arrival state is a fixed-size window, not a per-job array.
+const arrivalWindow = 1024
+
+// refill loads the source's next window of arrivals, validates them
+// and (with fairshare) resolves their tenants' accounts. Only an
+// exhausted window is refilled, so the arrivals it replaces have all
+// been consumed.
+func (f *Facility) refill() error {
+	f.win = f.win[:min(cap(f.win), f.n-f.loaded)]
+	f.fill(f.win)
+	for k := range f.win {
+		if err := f.validateJob(&f.win[k].job); err != nil {
+			return fmt.Errorf("facility: job %d: %w", f.win[k].seq, err)
+		}
 	}
-	if sorted {
-		return nil
+	if f.cfg.Fairshare {
+		for k := range f.win {
+			a := &f.win[k]
+			a.acct = f.share.account(a.tenant, a.job.Tenant)
+		}
 	}
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(jobs[a].Submit, jobs[b].Submit) })
-	return order
+	f.loaded += len(f.win)
+	f.next = 0
+	f.tally.submitted += int64(len(f.win))
+	return nil
 }
 
 // nextEvent removes and returns the earliest pending event under
-// Event.Less: the cursor's next arrival or the queue minimum, whichever
+// Event.Less: the window's next arrival or the queue minimum, whichever
 // orders first; ok is false once both are exhausted.
 func (f *Facility) nextEvent() (e pdes.Event[*jobRec], ok bool) {
 	top, queued := f.queue.Min()
-	if f.next < len(f.jobs) {
-		i := f.next
-		if f.arrivals != nil {
-			i = f.arrivals[i]
-		}
-		arrive := pdes.Event[*jobRec]{Time: f.jobs[i].Submit, Rank: kindArrive, Seq: uint64(i)}
+	if f.next < len(f.win) {
+		a := &f.win[f.next]
+		arrive := pdes.Event[*jobRec]{Time: a.job.Submit, Rank: kindArrive, Seq: uint64(a.seq)}
 		if !queued || arrive.Less(top) {
 			f.next++
 			return arrive, true
@@ -554,7 +558,7 @@ func (f *Facility) nextEvent() (e pdes.Event[*jobRec], ok bool) {
 	return f.queue.Pop(), true
 }
 
-func (f *Facility) validateJob(j Job) error {
+func (f *Facility) validateJob(j *Job) error {
 	if j.NP <= 0 {
 		return fmt.Errorf("needs positive NP, got %d", j.NP)
 	}
@@ -582,10 +586,10 @@ func (f *Facility) validateJob(j Job) error {
 	return nil
 }
 
-// alloc returns a fresh record for job i, the arrival at cursor
-// position pos, reusing recycled ones. The record carries the job's
-// per-pool factors and (with fairshare) its tenant's account.
-func (f *Facility) alloc(i, pos int) *jobRec {
+// alloc returns a fresh record for arrival a, reusing recycled ones.
+// The record carries the job's per-pool factors and (with fairshare) its
+// tenant's account.
+func (f *Facility) alloc(a *arrival) *jobRec {
 	var rec *jobRec
 	if n := len(f.freed); n > 0 {
 		rec = f.freed[n-1]
@@ -597,53 +601,22 @@ func (f *Facility) alloc(i, pos int) *jobRec {
 		rec = &f.chunk[0]
 		f.chunk = f.chunk[1:]
 	}
-	*rec = jobRec{job: f.jobs[i], seq: i, state: StateQueued, factors: [NumPools]float64{1, 1, 1}}
+	*rec = jobRec{job: a.job, seq: a.seq, state: StateQueued, factors: [NumPools]float64{1, 1, 1}}
 	if rec.job.Limit == 0 {
 		rec.job.Limit = rec.job.Runtime
 	}
 	if f.cfg.Broker != nil {
 		rec.factors = f.classes.lookup(f.cfg.Broker, rec.job.Class)
 	}
-	if f.cfg.Fairshare {
-		if pos-f.aheadAt >= len(f.ahead) {
-			f.internAhead(pos)
-		}
-		rec.acct = f.share.at(f.ahead[pos-f.aheadAt])
-	}
+	rec.acct = a.acct
 	return rec
-}
-
-// internWindow bounds how many upcoming arrivals internAhead interns
-// at once: the run's interning state stays a fixed-size window, not a
-// per-job array.
-const internWindow = 1024
-
-// internAhead interns the tenants of the next internWindow arrivals
-// from cursor position pos on, in arrival order, so a tenant's account
-// index depends only on when it first arrives, never on its name: a
-// bijective relabeling of tenants leaves every index, and the schedule,
-// unchanged.
-func (f *Facility) internAhead(pos int) {
-	if f.ahead == nil {
-		f.ahead = make([]int32, 0, internWindow)
-	}
-	end := min(pos+internWindow, len(f.jobs))
-	f.ahead = f.ahead[:0]
-	for q := pos; q < end; q++ {
-		i := q
-		if f.arrivals != nil {
-			i = f.arrivals[q]
-		}
-		f.ahead = append(f.ahead, f.share.intern(f.jobs[i].Tenant))
-	}
-	f.aheadAt = pos
 }
 
 // pushLater schedules a completion or wake event carrying rec. Its Seq
 // continues past the arrival block (arrival Seqs are job indices), so
 // stamps stay unique across both event sources.
 func (f *Facility) pushLater(at float64, kind int, rec *jobRec) {
-	f.queue.Push(pdes.Event[*jobRec]{Time: at, Rank: kind, Seq: uint64(len(f.jobs)) + f.pushed, Data: rec})
+	f.queue.Push(pdes.Event[*jobRec]{Time: at, Rank: kind, Seq: uint64(f.n) + f.pushed, Data: rec})
 	f.pushed++
 }
 
@@ -795,7 +768,7 @@ func (f *Facility) schedule(p *poolState) {
 	if !f.available(p) {
 		// Frozen by a spot outage: schedule a wake at the window's end so
 		// the queued jobs are revisited even if the heap otherwise drains.
-		if end, ok := f.cfg.Spot.outageEndAt(f.clock); ok && p.wakeAt != end {
+		if end, ok := f.cfg.Spot.Plan.OutageEnd(f.clock); ok && p.wakeAt != end {
 			p.wakeAt = end
 			f.pushLater(end, kindWake, nil)
 		}

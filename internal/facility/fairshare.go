@@ -10,30 +10,34 @@ import "math"
 // alone can never reshuffle the queue, which keeps scheduling passes
 // cheap and the schedule a pure function of the charge sequence.
 //
-// Accounts are dense: intern gives each tenant name an index on first
-// sight, and the accounts live in fixed-size chunks, so an account's
-// address never moves and a run allocates one chunk per acctChunk
-// tenants instead of one object per tenant. The facility interns each
-// arriving job's tenant once and caches the account pointer in the
-// job record; nothing past arrival hashes a tenant name.
+// Accounts are dense: each is named by the tenant index the job source
+// gives (a generated workload's Zipf rank, or a slice's order of first
+// arrival), and they live in fixed-size chunks, allocated as an index
+// in their range first arrives, so an account's address never moves
+// and a run allocates one chunk per acctChunk indices instead of one
+// object per tenant. The facility resolves each job's account once, as
+// its arrival window fills, and caches the pointer in the job record; a
+// tenant's name is looked up only for its weight, once, when its
+// account is first used.
 //
-// charge is the only mutator: queries (usageAt, key) compute the decay
-// on the fly without folding it into the stored value, so the account
-// book's state is identical no matter how often — or from which
-// scheduler path — priorities were queried between charges.
+// Past an account's first-use weighting, charge is the only mutator:
+// queries (usageAt, key) compute the decay on the fly without folding it
+// into the stored value, so the account book's state is identical no
+// matter how often — or from which scheduler path — priorities were
+// queried between charges.
 type shareTracker struct {
 	half    float64
 	weights map[string]float64
-	index   map[string]int32
-	chunks  [][]tenantUsage
+	chunks  [][]tenantUsage // nil until an index in range is used
 }
 
 // acctChunk is the number of accounts per storage chunk.
 const acctChunk = 256
 
 // tenantUsage is one tenant's account: value slot-seconds decayed to
-// time at, the tenant's cached weight, and a charge generation counter
-// (the staleness stamp for priority keys cached in the pending heap).
+// time at, the tenant's cached weight (0 until the account is first
+// used: weights are positive), and a charge generation counter (the
+// staleness stamp for priority keys cached in the pending heap).
 type tenantUsage struct {
 	value float64
 	at    float64
@@ -45,31 +49,27 @@ func newShareTracker(halfLife float64, weights map[string]float64) *shareTracker
 	if halfLife == 0 {
 		halfLife = 86400
 	}
-	return &shareTracker{half: halfLife, weights: weights, index: map[string]int32{}}
+	return &shareTracker{half: halfLife, weights: weights}
 }
 
-// intern returns the tenant's dense account index, creating an empty
-// account (weighted from the config, unlisted = 1) on first sight.
-func (s *shareTracker) intern(tenant string) int32 {
-	if i, ok := s.index[tenant]; ok {
-		return i
+// account returns the account with dense index i, weighting it from the
+// config by the tenant's name (unlisted = 1) on first use.
+func (s *shareTracker) account(i int32, tenant string) *tenantUsage {
+	c := int(i) / acctChunk
+	for len(s.chunks) <= c {
+		s.chunks = append(s.chunks, nil)
 	}
-	i := int32(len(s.index))
-	if int(i)%acctChunk == 0 {
-		s.chunks = append(s.chunks, make([]tenantUsage, acctChunk))
+	if s.chunks[c] == nil {
+		s.chunks[c] = make([]tenantUsage, acctChunk)
 	}
-	w := 1.0
-	if ww, ok := s.weights[tenant]; ok {
-		w = ww
+	u := &s.chunks[c][int(i)%acctChunk]
+	if u.w == 0 {
+		u.w = 1
+		if w, ok := s.weights[tenant]; ok {
+			u.w = w
+		}
 	}
-	s.at(i).w = w
-	s.index[tenant] = i
-	return i
-}
-
-// at returns the account with dense index i (from intern).
-func (s *shareTracker) at(i int32) *tenantUsage {
-	return &s.chunks[i/acctChunk][i%acctChunk]
+	return u
 }
 
 // charge bills slot-seconds to account u at time t, folding the decay

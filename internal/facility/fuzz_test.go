@@ -8,14 +8,15 @@ import (
 
 // FuzzWorkloadGen feeds arbitrary spec parameters to the generator and
 // checks its contract: valid specs produce valid, arrival-ordered jobs,
-// and the stream is a pure function of the spec (two calls, identical
-// output).
+// the stream is a pure function of the spec (two calls, identical
+// output), and the workload streamed in windows of a fuzzed size is
+// Generate's slice job for job.
 func FuzzWorkloadGen(f *testing.F) {
-	f.Add(uint64(0), uint16(100), uint16(10), uint16(64), uint16(0), false)
-	f.Add(uint64(42), uint16(1000), uint16(200), uint16(128), uint16(32), true)
-	f.Add(uint64(7), uint16(1), uint16(1), uint16(1), uint16(1), false)
-	f.Add(uint64(9999), uint16(300), uint16(5), uint16(16), uint16(8), true)
-	f.Fuzz(func(t *testing.T, seed uint64, jobs, tenants, slots, maxNP uint16, fixedHorizon bool) {
+	f.Add(uint64(0), uint16(100), uint16(10), uint16(64), uint16(0), false, uint16(7))
+	f.Add(uint64(42), uint16(1000), uint16(200), uint16(128), uint16(32), true, uint16(1023))
+	f.Add(uint64(7), uint16(1), uint16(1), uint16(1), uint16(1), false, uint16(0))
+	f.Add(uint64(9999), uint16(300), uint16(5), uint16(16), uint16(8), true, uint16(64))
+	f.Fuzz(func(t *testing.T, seed uint64, jobs, tenants, slots, maxNP uint16, fixedHorizon bool, win uint16) {
 		spec := WorkloadSpec{
 			Seed:    seed,
 			Jobs:    1 + int(jobs)%2000,
@@ -52,6 +53,16 @@ func FuzzWorkloadGen(f *testing.F) {
 			}
 			if j.Runtime <= 0 || j.Limit <= 0 || j.Tenant == "" || j.Class == "" {
 				t.Fatalf("job %d malformed: %+v", i, j)
+			}
+		}
+		w, err := NewWorkload(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		window := 1 + int(win)%spec.Jobs
+		for i, arr := range streamJobs(w, window) {
+			if arr.job != a[i] || arr.seq != i {
+				t.Fatalf("window %d: streamed job %d is %+v (seq %d), Generate has %+v", window, i, arr.job, arr.seq, a[i])
 			}
 		}
 	})

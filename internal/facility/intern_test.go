@@ -79,15 +79,15 @@ func TestCumGuideMatchesBinarySearch(t *testing.T) {
 }
 
 // internWindowJobs returns a shuffled workload a little over two
-// interning windows long in which three tenants no earlier job names
+// arrival windows long in which three tenants no earlier job names
 // first arrive at arrival positions window-1, window and window+1 —
 // the last slot of the first window, and the first two of the second —
 // and arrive again half a window later.
 func internWindowJobs(t *testing.T) []Job {
 	t.Helper()
 	const window = 1024
-	if internWindow != window {
-		t.Fatalf("workload built around a %d-arrival window, internWindow is %d", window, internWindow)
+	if arrivalWindow != window {
+		t.Fatalf("workload built around a %d-arrival window, arrivalWindow is %d", window, arrivalWindow)
 	}
 	jobs, err := Generate(WorkloadSpec{Seed: 23, Jobs: 2*window + 300, Tenants: 40, Slots: 32, MaxNP: 8, Utilization: 1.1})
 	if err != nil {
@@ -110,10 +110,10 @@ func internWindowJobs(t *testing.T) []Job {
 	return jobs
 }
 
-// TestInternWindowDigests runs a workload longer than the tenant
-// interning window, submitted out of order and with tenants first seen
-// on both sides of a window boundary, under both schedulers. The
-// digests were captured from the facility that kept one heap-allocated
+// TestInternWindowDigests runs a workload longer than the arrival
+// window, whose refills number tenants by first arrival, submitted out
+// of order and with tenants first seen on both sides of a window
+// boundary, under both schedulers. The digests were captured from the facility that kept one heap-allocated
 // account per tenant name and looked it up on every enqueue and charge.
 func TestInternWindowDigests(t *testing.T) {
 	jobs := internWindowJobs(t)

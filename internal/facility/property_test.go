@@ -210,7 +210,7 @@ func TestQuickFairshareUsageDecays(t *testing.T) {
 		a, b := float64(aRaw)+1, float64(bRaw)+1
 		dt := float64(dtRaw) * 100
 		s := newShareTracker(3600, nil)
-		ua, ub := s.at(s.intern("a")), s.at(s.intern("b"))
+		ua, ub := s.account(0, "a"), s.account(1, "b")
 		s.charge(ua, 0, a)
 		s.charge(ub, 0, b)
 		ua0, ub0 := ua.usageAt(0, s.half), ub.usageAt(0, s.half)

@@ -26,7 +26,7 @@ func runSched(t *testing.T, cfg Config, kind schedKind, jobs []Job) (*Result, []
 	}
 	res := &Result{Outcomes: make([]Outcome, len(jobs))}
 	var order []int
-	sr, err := f.RunStream(jobs, func(o Outcome) {
+	sr, err := f.RunStream(Jobs(jobs), func(o Outcome) {
 		order = append(order, o.Seq)
 		res.Outcomes[o.Seq] = o
 	})
@@ -164,7 +164,7 @@ func TestStreamSummaryMatchesSummarize(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss2 := NewStreamSummary(0, 99)
-	if _, err := f.RunStream(jobs, ss2.Observe); err != nil {
+	if _, err := f.RunStream(Jobs(jobs), ss2.Observe); err != nil {
 		t.Fatal(err)
 	}
 	got := ss2.Summary()
@@ -200,7 +200,7 @@ func TestStreamDigestDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := NewStreamDigest()
-		sr, err := f.RunStream(jobs, d.Observe)
+		sr, err := f.RunStream(Jobs(jobs), d.Observe)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,35 +51,6 @@ func (s *SpotConfig) Validate() error {
 	return s.Plan.Validate()
 }
 
-// outageEndAt returns the end of the outage window covering t, if any.
-func (s *SpotConfig) outageEndAt(t float64) (float64, bool) {
-	if s.Plan == nil {
-		return 0, false
-	}
-	for _, o := range s.Plan.Outages {
-		if o.Start > t {
-			return 0, false // sorted by start
-		}
-		if t < o.End {
-			return o.End, true
-		}
-	}
-	return 0, false
-}
-
-// nextOutageAfter returns the start of the first outage strictly after t.
-func (s *SpotConfig) nextOutageAfter(t float64) (float64, bool) {
-	if s.Plan == nil {
-		return 0, false
-	}
-	for _, o := range s.Plan.Outages {
-		if o.Start > t {
-			return o.Start, true
-		}
-	}
-	return 0, false
-}
-
 // spotResult is one spot execution, computed in closed form at dispatch.
 type spotResult struct {
 	end           float64 // wall completion time (includes outage gaps)
@@ -116,7 +87,7 @@ func (s *SpotConfig) run(start, base float64, np int) spotResult {
 	t := start
 	sinceCk := 0.0
 	for !prog.Completed() {
-		if end, out := s.outageEndAt(t); out {
+		if end, out := s.Plan.OutageEnd(t); out {
 			// Capacity lost: roll back to the durable point and wait the
 			// outage out; resuming from a checkpoint pays the restore read.
 			if prog.Quantum > 0 {
@@ -140,7 +111,7 @@ func (s *SpotConfig) run(start, base float64, np int) spotResult {
 				seg = d
 			}
 		}
-		if at, ok := s.nextOutageAfter(t); ok && at-t < seg {
+		if at, ok := s.Plan.NextOutage(t); ok && at-t < seg {
 			seg = at - t
 		}
 		if seg > 0 {

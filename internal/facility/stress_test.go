@@ -170,7 +170,7 @@ func TestScaleHundredThousandJobs(t *testing.T) {
 		t.Skip("streaming stress test skipped in -short mode")
 	}
 	const jobs, tenants = 100000, 10000
-	wl, err := Generate(WorkloadSpec{
+	wl, err := NewWorkload(WorkloadSpec{
 		Seed:    43,
 		Jobs:    jobs,
 		Tenants: tenants,

@@ -157,22 +157,43 @@ func (g *cumGuide) search(x float64) int {
 	return lo
 }
 
-// Generate produces the seeded synthetic job stream: Zipf-weighted
+// Workload is a generated job stream, ready for RunStream. NewWorkload
+// runs the generator's first pass: every per-job draw except the wall
+// limit, kept in pointer-free columns (25 bytes a job, where a Job takes
+// 64 with its two string headers), and the arrival-clock scale that
+// needs the whole workload's demand. A run makes the second pass: it
+// draws the limits and builds each Job as its arrival window fills, so
+// the workload is never held as Jobs. A Workload is read-only once
+// built; every pass replays the limit stream from its start, so every
+// run of one Workload, concurrent ones included, sees the same jobs.
+type Workload struct {
+	at      []float64 // unit-rate arrival clock; Submit is at*scale
+	runtime []float64
+	tenant  []int32 // Zipf rank: the tenant's name and account index
+	class   []int32 // index into classes
+	sizeExp []uint8 // NP is npMin<<sizeExp, capped at maxNP
+
+	scale   float64
+	maxNP   int
+	classes []string
+	shapes  []classShape
+	names   tenantNames
+	limits  sim.RNG // the limit stream, at its start
+}
+
+// NewWorkload produces the seeded synthetic job stream: Zipf-weighted
 // tenant activity (a few heavy groups, a long tail), Poisson arrivals
 // scaled so the offered load hits the spec's utilization target,
 // per-class LogNormal runtimes and power-of-two slot requests, and
 // occasional underestimated wall limits (the jobs that get killed).
-// Jobs are returned in arrival order.
-func Generate(spec WorkloadSpec) ([]Job, error) {
+// Jobs stream in arrival order.
+func NewWorkload(spec WorkloadSpec) (*Workload, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	maxNP := spec.MaxNP
 	if maxNP == 0 {
-		maxNP = 64
-		if spec.Slots < maxNP {
-			maxNP = spec.Slots
-		}
+		maxNP = min(64, spec.Slots)
 	}
 	classes := spec.Classes
 	uniform := classes != nil
@@ -180,12 +201,13 @@ func Generate(spec WorkloadSpec) ([]Job, error) {
 		classes = CalibratedClasses()
 	}
 
+	// Each draw has its own stream, so splitting the limit draws off
+	// into the second pass leaves every value as one pass drew it.
 	root := sim.NewRNG(spec.Seed).Derive(sim.SeedString("facility-workload"))
 	tenantR := root.Derive(1)
 	classR := root.Derive(2)
 	sizeR := root.Derive(3)
 	runR := root.Derive(4)
-	limitR := root.Derive(5)
 	arrR := root.Derive(6)
 
 	tenantCum := zipfCum(spec.Tenants)
@@ -205,19 +227,25 @@ func Generate(spec WorkloadSpec) ([]Job, error) {
 	}
 	classG := newCumGuide(classCum)
 
-	names := newTenantNames(spec.Tenants)
-	jobs := make([]Job, spec.Jobs)
+	// Columns of one element type share an allocation, so the generator
+	// allocates a fixed number of times.
+	n := spec.Jobs
+	floats, ints := make([]float64, 2*n), make([]int32, 2*n)
+	w := &Workload{
+		at: floats[:n:n], runtime: floats[n:],
+		tenant: ints[:n:n], class: ints[n:], sizeExp: make([]uint8, n),
+		maxNP: maxNP, classes: classes, shapes: shapes,
+		names: newTenantNames(spec.Tenants), limits: *root.Derive(5),
+	}
 	var demand, at float64
-	for i := range jobs {
+	for i := 0; i < n; i++ {
 		at += arrR.Exponential(1)
-		tenant := tenants.search(tenantR.Float64() * total)
+		w.at[i] = at
+		w.tenant[i] = int32(tenants.search(tenantR.Float64() * total))
 		ci := classG.search(classR.Float64() * classTotal)
-		class, sh := classes[ci], shapes[ci]
-
-		np := sh.npMin << sizeR.Intn(sh.npExp+1)
-		if np > maxNP {
-			np = maxNP
-		}
+		sh := shapes[ci]
+		w.class[i] = int32(ci)
+		w.sizeExp[i] = uint8(sizeR.Intn(sh.npExp + 1))
 		rt := runR.LogNormal(sh.logMean, sh.logSigma)
 		if rt < 5 {
 			rt = 5
@@ -225,22 +253,8 @@ func Generate(spec WorkloadSpec) ([]Job, error) {
 		if rt > 6*3600 {
 			rt = 6 * 3600
 		}
-		// ~5% of users underestimate their wall limit and get killed on
-		// the HPC partition; everyone else pads it 1.1-3x.
-		lim := rt * (1.1 + 1.9*limitR.Float64())
-		if limitR.Float64() < 0.05 {
-			lim = rt * (0.5 + 0.45*limitR.Float64())
-		}
-
-		jobs[i] = Job{
-			Tenant:  names.name(tenant),
-			Class:   class,
-			NP:      np,
-			Runtime: rt,
-			Limit:   lim,
-			Submit:  at,
-		}
-		demand += float64(np) * rt
+		w.runtime[i] = rt
+		demand += float64(w.np(i)) * rt
 	}
 
 	horizon := spec.Horizon
@@ -251,11 +265,65 @@ func Generate(spec WorkloadSpec) ([]Job, error) {
 		}
 		horizon = demand / (util * float64(spec.Slots))
 	}
-	// Rescale the unit-rate arrival process onto the horizon;
-	// multiplication preserves order, so arrival order is unchanged.
-	scale := horizon / at
+	// The unit-rate arrival process is rescaled onto the horizon as jobs
+	// are built; multiplication preserves order, so arrival order is
+	// job order.
+	w.scale = horizon / at
+	return w, nil
+}
+
+// Len returns the number of jobs.
+func (w *Workload) Len() int { return len(w.at) }
+
+// np returns job i's slot request.
+func (w *Workload) np(i int) int {
+	return min(w.shapes[w.class[i]].npMin<<w.sizeExp[i], w.maxNP)
+}
+
+// job builds job i, drawing its wall limit from limits, the limit
+// stream positioned at job i.
+func (w *Workload) job(i int, limits *sim.RNG) Job {
+	rt := w.runtime[i]
+	// ~5% of users underestimate their wall limit and get killed on the
+	// HPC partition; everyone else pads it 1.1-3x.
+	lim := rt * (1.1 + 1.9*limits.Float64())
+	if limits.Float64() < 0.05 {
+		lim = rt * (0.5 + 0.45*limits.Float64())
+	}
+	return Job{
+		Tenant:  w.names.name(int(w.tenant[i])),
+		Class:   w.classes[w.class[i]],
+		NP:      w.np(i),
+		Runtime: rt,
+		Limit:   lim,
+		Submit:  w.at[i] * w.scale,
+	}
+}
+
+// open starts a pass over the workload in job order, which is arrival
+// order. Tenant indices are Zipf ranks, so no name is looked up.
+func (w *Workload) open(bool) func([]arrival) {
+	limits, i := w.limits, 0
+	return func(win []arrival) {
+		for k := range win {
+			win[k] = arrival{job: w.job(i, &limits), seq: i, tenant: w.tenant[i]}
+			i++
+		}
+	}
+}
+
+// Generate returns the seeded synthetic workload (see NewWorkload) as a
+// slice, for callers that need every job at once: replay traces, or Run
+// with its per-job outcomes.
+func Generate(spec WorkloadSpec) ([]Job, error) {
+	w, err := NewWorkload(spec)
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]Job, w.Len())
+	limits := w.limits
 	for i := range jobs {
-		jobs[i].Submit *= scale
+		jobs[i] = w.job(i, &limits)
 	}
 	return jobs, nil
 }

@@ -21,6 +21,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/cpumodel"
@@ -41,7 +42,8 @@ type Outage struct {
 }
 
 // Plan is a fully materialised fault schedule. The zero value (and nil)
-// is a fault-free plan. All slices are sorted by start time.
+// is a fault-free plan. All slices are sorted by start time; outages
+// are also sorted by end (Validate).
 type Plan struct {
 	Stragglers   map[int][]cpumodel.Throttle // per-rank slowdown windows
 	Degradations []netmodel.Degradation      // inter-node link windows
@@ -58,7 +60,10 @@ func (p *Plan) Empty() bool {
 // Validate checks the plan's internal consistency: ordered windows with
 // positive extent, slowdown/degradation factors >= 1 (a factor below one
 // would be a speed-up and could violate virtual-time causality), and
-// non-negative event times.
+// non-negative event times. Outage windows must be sorted by start and
+// by end: a window may overlap the one before it but not end before it
+// (nested inside it), which is what lets the outage lookups
+// binary-search.
 func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
@@ -91,9 +96,15 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("fault: preemption {node %d, at %g} invalid", e.Node, e.At)
 		}
 	}
-	for _, o := range p.Outages {
-		if o.End <= o.Start || o.Start < 0 {
+	for i, o := range p.Outages {
+		if !(o.End > o.Start) || !(o.Start >= 0) {
 			return fmt.Errorf("fault: outage [%g,%g) invalid", o.Start, o.End)
+		}
+		if i > 0 {
+			if prev := p.Outages[i-1]; o.Start < prev.Start || o.End < prev.End {
+				return fmt.Errorf("fault: outage %d [%g,%g) out of order after [%g,%g): outages must be sorted by start and by end",
+					i, o.Start, o.End, prev.Start, prev.End)
+			}
 		}
 	}
 	return nil
@@ -143,18 +154,40 @@ func (p *Plan) NodeDeath(node int, after float64) (float64, bool) {
 
 // OutageAt reports whether the resource is unavailable at time t.
 func (p *Plan) OutageAt(t float64) bool {
+	_, ok := p.OutageEnd(t)
+	return ok
+}
+
+// OutageEnd returns the end of the first outage window, in plan order,
+// that covers t (Start <= t < End). Outages are sorted by start and by
+// end, so the windows starting at or before t are a prefix of the list
+// and, within it, the ones ending after t are a suffix: two binary
+// searches find the window a scan from the front would.
+func (p *Plan) OutageEnd(t float64) (float64, bool) {
 	if p == nil {
-		return false
+		return 0, false
 	}
-	for _, o := range p.Outages {
-		if o.Start > t {
-			return false // sorted by start
-		}
-		if t < o.End {
-			return true
-		}
+	os := p.Outages
+	k := sort.Search(len(os), func(i int) bool { return os[i].Start > t })
+	j := sort.Search(k, func(i int) bool { return os[i].End > t })
+	if j == k {
+		return 0, false
 	}
-	return false
+	return os[j].End, true
+}
+
+// NextOutage returns the start of the first outage window that starts
+// strictly after t.
+func (p *Plan) NextOutage(t float64) (float64, bool) {
+	if p == nil {
+		return 0, false
+	}
+	os := p.Outages
+	k := sort.Search(len(os), func(i int) bool { return os[i].Start > t })
+	if k == len(os) {
+		return 0, false
+	}
+	return os[k].Start, true
 }
 
 // Spec parameterises plan generation. The zero value generates an empty
@@ -191,8 +224,31 @@ type Spec struct {
 	DegradationDuration float64
 }
 
-// Validate rejects malformed specs (DESIGN §5 misuse-error convention).
+// maxExpectedEvents caps the number of events a spec may expect over
+// its horizon, per event class (straggler windows per rank): Generate
+// materialises the whole plan, so a spec expecting more would exhaust
+// memory building it instead of failing.
+const maxExpectedEvents = 1e6
+
+// Validate rejects malformed specs (DESIGN §5 misuse-error convention):
+// negative or non-finite values, factors below 1, and specs expecting
+// more than maxExpectedEvents events of one class. Errors name the
+// -faults key of the offending value.
 func (s Spec) Validate() error {
+	fields := []struct {
+		key string
+		v   float64
+	}{
+		{"mtbf", s.MTBF}, {"horizon", s.Horizon},
+		{"straggle", s.StragglerRate}, {"slow", s.StragglerSlowdown}, {"StragglerDuration", s.StragglerDuration},
+		{"degrade", s.DegradationRate}, {"dlat", s.DegradationLatency}, {"dbw", s.DegradationBandwidth},
+		{"DegradationDuration", s.DegradationDuration},
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("fault: %s must be finite, got %g", f.key, f.v)
+		}
+	}
 	if s.MTBF < 0 || s.Horizon < 0 || s.StragglerRate < 0 || s.DegradationRate < 0 {
 		return fmt.Errorf("fault: spec rates and horizon must be non-negative: %+v", s)
 	}
@@ -207,6 +263,21 @@ func (s Spec) Validate() error {
 	}
 	if s.StragglerDuration < 0 || s.DegradationDuration < 0 {
 		return fmt.Errorf("fault: durations must be non-negative")
+	}
+	h := s.horizon()
+	expected := []struct {
+		key, events string
+		v, n        float64
+	}{
+		{"mtbf", "preemptions", s.MTBF, h / s.MTBF},
+		{"straggle", "straggler windows per rank", s.StragglerRate, s.StragglerRate * h / 3600},
+		{"degrade", "link-degradation windows", s.DegradationRate, s.DegradationRate * h / 3600},
+	}
+	for _, e := range expected {
+		if e.v > 0 && !(e.n <= maxExpectedEvents) {
+			return fmt.Errorf("fault: %s=%g expects %.3g %s over a %g s horizon; at most %g are allowed",
+				e.key, e.v, e.n, e.events, h, maxExpectedEvents)
+		}
 	}
 	return nil
 }
@@ -233,8 +304,14 @@ func Generate(s Spec, platformName, experiment string, ranks, nodes int, seed ui
 	if ranks <= 0 || nodes <= 0 {
 		return nil, fmt.Errorf("fault: need positive ranks (%d) and nodes (%d)", ranks, nodes)
 	}
-	base := sim.NewRNG(seed).Derive(sim.SeedString(platformName), sim.SeedString(experiment))
 	horizon := s.horizon()
+	// Validate bounds straggler windows per rank; the class's total
+	// grows with the rank count.
+	if n := s.StragglerRate * horizon / 3600 * float64(ranks); n > maxExpectedEvents {
+		return nil, fmt.Errorf("fault: straggle=%g expects %.3g straggler windows over %d ranks and a %g s horizon; at most %g are allowed",
+			s.StragglerRate, n, ranks, horizon, maxExpectedEvents)
+	}
+	base := sim.NewRNG(seed).Derive(sim.SeedString(platformName), sim.SeedString(experiment))
 	p := &Plan{}
 
 	if s.MTBF > 0 {

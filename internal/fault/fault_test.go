@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cpumodel"
 	"repro/internal/netmodel"
+	"repro/internal/sim"
 )
 
 func fullSpec() Spec {
@@ -94,6 +95,11 @@ func TestGenerateRejectsBadInput(t *testing.T) {
 	if _, err := Generate(Spec{StragglerSlowdown: 0.5, StragglerRate: 1}, "v", "e", 4, 2, 1); err == nil {
 		t.Error("slowdown < 1 should be rejected")
 	}
+	// 5*10^5 windows per rank pass Validate; 64 ranks of them exceed the
+	// class's cap.
+	if _, err := Generate(Spec{StragglerRate: 5e5, Horizon: 3600}, "v", "e", 64, 8, 1); err == nil || !strings.Contains(err.Error(), "straggle=") {
+		t.Errorf("straggler windows over the cap across ranks: %v, want an error naming straggle", err)
+	}
 }
 
 func TestPlanValidate(t *testing.T) {
@@ -105,6 +111,9 @@ func TestPlanValidate(t *testing.T) {
 		{Preemptions: []Preemption{{Node: -1, At: 3}}},
 		{Preemptions: []Preemption{{Node: 0, At: -3}}},
 		{Outages: []Outage{{Start: 2, End: 2}}},
+		{Outages: []Outage{{Start: math.NaN(), End: 2}}},
+		{Outages: []Outage{{Start: 5, End: 6}, {Start: 2, End: 3}}},  // unsorted by start
+		{Outages: []Outage{{Start: 0, End: 10}, {Start: 2, End: 3}}}, // nested: ends first
 	}
 	for i, p := range cases {
 		if err := p.Validate(); err == nil {
@@ -166,6 +175,98 @@ func TestOutageAt(t *testing.T) {
 	}
 }
 
+// linearOutage is the outage lookup as a scan from the front of the
+// list: the first window (in plan order) covering t, and the first
+// window starting strictly after t.
+func linearOutage(os []Outage, t float64) (end float64, covered bool, next float64, later bool) {
+	for _, o := range os {
+		if o.Start > t {
+			break
+		}
+		if t < o.End {
+			end, covered = o.End, true
+			break
+		}
+	}
+	for _, o := range os {
+		if o.Start > t {
+			return end, covered, o.Start, true
+		}
+	}
+	return end, covered, 0, false
+}
+
+// TestOutageLookupsMatchScan: OutageAt, OutageEnd and NextOutage
+// binary-search, and must answer exactly as a scan from the front for
+// every outage list Validate accepts: empty lists, touching windows,
+// overlapping ones and equal starts, probed at every window's start and
+// end and one ulp either side, and between windows.
+func TestOutageLookupsMatchScan(t *testing.T) {
+	var touching, overlapping int
+	prop := func(seed uint64, n8 uint8) bool {
+		r := sim.NewRNG(seed)
+		var os []Outage
+		start, end := 0.0, 0.0
+		for i := 0; i < int(n8%12); i++ {
+			switch r.Intn(4) {
+			case 0: // touches the previous window's end
+				start = end
+			case 1: // overlaps it (or shares its start)
+				start += float64(r.Intn(3))
+				if start >= end {
+					start = end
+				}
+			default: // leaves a gap
+				start = end + float64(1+r.Intn(5))
+			}
+			end = max(end, start+float64(1+r.Intn(6)))
+			os = append(os, Outage{Start: start, End: end})
+		}
+		p := &Plan{Outages: os}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("generated list rejected: %v: %+v", err, os)
+		}
+		for i := 1; i < len(os); i++ {
+			if os[i].Start == os[i-1].End {
+				touching++
+			}
+			if os[i].Start < os[i-1].End {
+				overlapping++
+			}
+		}
+		probes := []float64{-1, 0, 1e9}
+		for _, o := range os {
+			for _, x := range []float64{o.Start, o.End} {
+				probes = append(probes, x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1)), x+0.5)
+			}
+		}
+		for _, x := range probes {
+			end, covered, next, later := linearOutage(os, x)
+			gotEnd, gotCovered := p.OutageEnd(x)
+			gotNext, gotLater := p.NextOutage(x)
+			if gotEnd != end || gotCovered != covered || gotNext != next || gotLater != later || p.OutageAt(x) != covered {
+				t.Errorf("t=%v over %+v: OutageEnd (%v,%v) NextOutage (%v,%v) OutageAt %v; scan gives (%v,%v) (%v,%v)",
+					x, os, gotEnd, gotCovered, gotNext, gotLater, p.OutageAt(x), end, covered, next, later)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if touching == 0 || overlapping == 0 {
+		t.Fatalf("lists covered %d touching and %d overlapping window pairs; want both", touching, overlapping)
+	}
+	var nilPlan *Plan
+	if _, ok := nilPlan.OutageEnd(0); ok || nilPlan.OutageAt(0) {
+		t.Error("nil plan has an outage")
+	}
+	if _, ok := nilPlan.NextOutage(0); ok {
+		t.Error("nil plan has a next outage")
+	}
+}
+
 func TestParseParamsRoundTrip(t *testing.T) {
 	for _, s := range []string{
 		"",
@@ -204,6 +305,36 @@ func TestParseParamsErrors(t *testing.T) {
 	} {
 		if _, err := ParseParams(s); err == nil {
 			t.Errorf("ParseParams(%q) should fail", s)
+		}
+	}
+}
+
+// TestParseParamsRejectsUnboundedPlans: values that are not finite, or
+// that would make Generate materialise more than maxExpectedEvents
+// events of one class (each of these exhausted memory before it was
+// capped), are rejected with an error naming the -faults key.
+func TestParseParamsRejectsUnboundedPlans(t *testing.T) {
+	for _, c := range []struct{ in, key string }{
+		{"horizon=+Inf,mtbf=600", "horizon"},
+		{"mtbf=NaN", "mtbf"},
+		{"dlat=NaN,degrade=12", "dlat"},
+		{"slow=Inf,straggle=1", "slow"},
+		{"mtbf=1e-6", "mtbf="},
+		{"mtbf=1e-300", "mtbf="},
+		{"degrade=1e12", "degrade="},
+		{"straggle=1e7", "straggle="},
+		{"horizon=1e12,mtbf=600", "mtbf="},
+	} {
+		_, err := ParseParams(c.in)
+		if err == nil || !strings.Contains(err.Error(), c.key) {
+			t.Errorf("ParseParams(%q) = %v; want an error naming %q", c.in, err, c.key)
+		}
+	}
+	// The cap is far above what a bounded run uses: a preemption a
+	// minute over the default horizon, or stragglers every second.
+	for _, s := range []string{"mtbf=60", "straggle=3600,horizon=3600", "degrade=3600,mtbf=600"} {
+		if _, err := ParseParams(s); err != nil {
+			t.Errorf("ParseParams(%q): %v", s, err)
 		}
 	}
 }

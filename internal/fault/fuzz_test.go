@@ -2,6 +2,7 @@ package fault_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/apps/metum"
@@ -87,6 +88,9 @@ func FuzzFaultPlan(f *testing.F) {
 		// is exercised separately.
 		if mtbf < 0 {
 			mtbf = -mtbf
+		}
+		if math.IsNaN(mtbf) || math.IsInf(mtbf, 0) {
+			mtbf = 0 // the spec rejects non-finite values
 		}
 		if mtbf > 0 && mtbf < 5 {
 			mtbf = 5 // pathological storms time out the restart budget fast
